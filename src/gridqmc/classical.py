@@ -15,6 +15,7 @@ from scipy import stats
 
 from .errors import ConfigurationError, EnumerationBoundError
 from .estimation import EstimationResult
+from .flowmap import THRESHOLD_TOL
 from .injection import InjectionDistribution
 
 _MAX_ENUM_STATES = 2**20
@@ -37,7 +38,7 @@ class ExactDistribution:
     std_normalized: float
 
     def overload_probability(self, threshold: float) -> float:
-        return float(self.probabilities[self.values >= threshold - _VALUE_TOL].sum())
+        return float(self.probabilities[self.values >= threshold - THRESHOLD_TOL].sum())
 
     def metric(self, metric: str, threshold: float | None = None) -> float:
         if metric == "mean":
@@ -156,10 +157,11 @@ def classical_mc(
         draws = rng.choice(dist.values_mw, size=n, p=dist.probabilities)
         loading += h * draws
     loading = np.abs(loading)
-    samples = loading if metric == "mean" else (loading >= threshold - _VALUE_TOL).astype(float)
+    samples = loading if metric == "mean" else (loading >= threshold - THRESHOLD_TOL).astype(float)
 
     estimate = float(samples.mean())
-    sigma_sample = float(samples.std(ddof=1))
+    # one sample has no sample deviation; fall back on the sigma that sized the budget
+    sigma_sample = float(samples.std(ddof=1)) if n > 1 else sigma_n
     margin = _critical_value(alpha) * sigma_sample / math.sqrt(n)
     return EstimationResult(
         method="cmc",

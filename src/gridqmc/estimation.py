@@ -1,10 +1,14 @@
 """Iterative amplitude estimation over simulated measurement shots.
 
-The Grover operator is assembled as a dense unitary from the pipeline
-operator and two basis-state phase flips.  Estimation maintains a
-confidence interval on the rotation angle, adaptively raising the Grover
-power whenever the scaled interval still fits in one half-plane, and
-tightens it with Clopper-Pearson binomial intervals on seeded shot draws.
+The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
+basis-state phase flips.  :func:`build_grover_iterate` applies it as
+operator calls on a structured :class:`PipelineOperator`;
+:func:`build_grover` assembles it as a dense unitary from a
+:class:`PipelineUnitary` and serves as the small-n oracle.  Estimation
+maintains a confidence interval on the rotation angle, adaptively raising
+the Grover power whenever the scaled interval still fits in one half-plane,
+and tightens it with Clopper-Pearson binomial intervals on seeded shot
+draws.
 """
 from __future__ import annotations
 
@@ -15,8 +19,15 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError, EstimationFailureError
-from .flowmap import PipelineUnitary
-from .simulator import StateVector, UnitaryMatrix, apply, probability_of, zero_state
+from .flowmap import PipelineOperator, PipelineUnitary
+from .simulator import (
+    StateVector,
+    UnitaryMatrix,
+    apply,
+    probability_of,
+    probe_unitary,
+    zero_state,
+)
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -68,8 +79,62 @@ class EstimationResult:
             raise ConfigurationError("estimate must lie inside its confidence interval")
 
 
+@dataclass(frozen=True)
+class GroverIterate:
+    """Amplification operator applied as calls to a structured pipeline operator.
+
+    Offers what :func:`iqae` needs of a :class:`GroverOperator`,
+    ``amplified_state`` and ``good_state_index``, without a dense matrix.
+    """
+
+    a_op: PipelineOperator
+    good_state_index: int
+    prepared: np.ndarray  # A|0>, real
+
+    @property
+    def theta(self) -> float:
+        """Rotation angle, amplitude = sin(theta)."""
+        amp = self.prepared[self.good_state_index]
+        return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Q x = A S0 A^T Sg x; each phase flip negates one amplitude."""
+        y = x.copy()
+        y[self.good_state_index] = -y[self.good_state_index]
+        y = self.a_op.apply_adjoint(y)
+        y[0] = -y[0]
+        return self.a_op.apply(y)
+
+    def amplified_state(self, k: int, start: StateVector | None = None) -> StateVector:
+        """Apply k Grover steps to (a continuation of) the prepared state."""
+        x = self.prepared
+        if start is not None:
+            x = start.amplitudes
+            if np.any(x.imag):
+                raise ConfigurationError("the structured Grover iterate acts on real states")
+            x = x.real
+        for _ in range(k):
+            x = self.step(x)
+        return StateVector(self.a_op.n_qubits, x)
+
+
+def _check_rotation(op: GroverOperator | GroverIterate) -> None:
+    """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
+    theta = op.theta
+    state = op.amplified_state(0)
+    for k in range(3):
+        if k > 0:
+            state = op.amplified_state(1, start=state)
+        expected = math.sin((2 * k + 1) * theta) ** 2
+        got = probability_of(state, op.good_state_index)
+        if abs(got - expected) > _PHASE_CHECK_TOL:
+            raise ConfigurationError(
+                f"Grover rotation identity violated at k={k}: {got} vs {expected}"
+            )
+
+
 def build_grover(a: PipelineUnitary) -> GroverOperator:
-    """Assemble the Grover operator and verify its rotation identity."""
+    """Assemble the dense Grover operator and verify its rotation identity."""
     dim = a.a.dim
     amat = a.a.entries
     s0 = np.eye(dim)
@@ -78,18 +143,15 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
     sg[a.good_state_index, a.good_state_index] = -1.0
     q = amat @ s0 @ amat.conj().T @ sg
     op = GroverOperator(q=UnitaryMatrix(q), a_op=a, good_state_index=a.good_state_index)
+    _check_rotation(op)
+    return op
 
-    theta = op.theta
-    state = op.amplified_state(0)
-    for k in range(3):
-        if k > 0:
-            state = apply(op.q, state)
-        expected = math.sin((2 * k + 1) * theta) ** 2
-        got = probability_of(state, a.good_state_index)
-        if abs(got - expected) > _PHASE_CHECK_TOL:
-            raise ConfigurationError(
-                f"Grover rotation identity violated at k={k}: {got} vs {expected}"
-            )
+
+def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
+    """Structured Grover iterate, probed for unitarity and the rotation identity."""
+    op = GroverIterate(a_op=a, good_state_index=a.good_state_index, prepared=a.prepared())
+    probe_unitary(op.step, a.dim)
+    _check_rotation(op)
     return op
 
 

@@ -2,24 +2,45 @@
 
 For one line, the weighted Kronecker sum of the bus MW levels gives the
 loading value reached by every joint injection state.  Grouping equal
-values yields a sparse 0/1 matrix that maps the joint injection state onto
-a loading-distribution state.  Row normalization makes the matrix
-semi-orthogonal, SVD splits it into two unitaries, and a Householder
-reflection folds the chosen risk metric into the amplitude of the all-ones
-basis state.
+values labels every joint state with its loading level; the labels define a
+0/1 matrix that maps the joint injection state onto a loading-distribution
+state.  A Householder reflection then folds the chosen risk metric into the
+amplitude of the all-ones basis state.
+
+The estimation path, :func:`build_pipeline_operator`, keeps the operator in
+factored form and applies it to a statevector in O(2^n * sum 2^k) time:
+per-bus state-prep reflections, one reflection per loading level plus a
+permutation for the unitary completion of the map, and the rank-1 metric
+reflection.  The dense builders (:func:`build_line_map`,
+:func:`unitary_factorize`, :func:`assemble_pipeline`) complete the map by
+SVD instead; they serve the histogram stages and act as the small-n oracle.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, FactorizationError
-from .injection import EncodedInjection, InjectionDistribution, encode, state_prep_unitary
-from .simulator import UnitaryMatrix
+from .injection import (
+    EncodedInjection,
+    InjectionDistribution,
+    apply_state_prep,
+    encode,
+    state_prep_unitary,
+)
+from .simulator import MAX_QUBITS, UnitaryMatrix, probe_unitary
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
+
+#: a loading level counts as overloaded when ``level >= threshold - THRESHOLD_TOL``;
+#: float sums such as 0.3 * 3 land a few ulps below a threshold they equal
+THRESHOLD_TOL = 1e-9
+
+#: bytes above which :func:`build_line_map` refuses to build the dense path
+DENSE_BUDGET_BYTES = 2**30
 
 _SINGULAR_VALUE_TOL = 1e-6
 
@@ -45,20 +66,70 @@ def group_values(values: np.ndarray, tol: float = VALUE_GROUP_TOL) -> tuple[np.n
     """
     order = np.argsort(values)
     ordered = values[order]
-    boundaries = np.nonzero(np.diff(ordered) > tol)[0]
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries + 1, [len(values)]))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > tol) + 1))
+    sizes = np.diff(np.append(starts, len(values)))
     labels = np.empty(len(values), dtype=int)
-    distinct = np.empty(len(starts))
-    for k, (s, e) in enumerate(zip(starts, ends)):
-        labels[order[s:e]] = k
-        distinct[k] = ordered[s:e].mean()
+    labels[order] = np.repeat(np.arange(len(starts)), sizes)
+    # reduceat matches ndarray.mean bit for bit only on one or two members
+    distinct = np.add.reduceat(ordered, starts) / sizes
+    for k in np.flatnonzero(sizes > 2):
+        distinct[k] = ordered[starts[k] : starts[k] + sizes[k]].mean()
     return distinct, labels
 
 
 @dataclass(frozen=True)
+class LineLevels:
+    """Distinct loading levels of one line and the level of every joint state.
+
+    ``labels[c]`` is the index into ``distinct_values`` (absolute loading,
+    fraction of rating) reached by joint state ``c``; ``row_norms[k]`` is
+    the square root of the number of joint states on level ``k``.
+    """
+
+    line: str
+    distinct_values: np.ndarray
+    labels: np.ndarray
+    row_norms: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.distinct_values)
+
+    @property
+    def n_columns(self) -> int:
+        return len(self.labels)
+
+
+def line_levels(
+    h_row: np.ndarray,
+    distributions: list[InjectionDistribution],
+    line: str = "",
+) -> LineLevels:
+    """Enumerate the loading value of every joint state and group equal ones.
+
+    ``h_row`` must be the rated distribution-factor row restricted to the
+    non-slack buses, ordered consistently with ``distributions``.  Loading
+    signs are folded by absolute value.
+    """
+    h_row = np.asarray(h_row, dtype=float)
+    if len(distributions) == 0:
+        raise ConfigurationError("need at least one distribution")
+    if len(h_row) != len(distributions):
+        raise ConfigurationError("h_row length must match the number of distributions")
+
+    loading = np.array([0.0])
+    for h, dist in zip(h_row, distributions):
+        loading = kron_sum(loading, h * dist.values_mw)
+    loading = np.abs(loading)
+
+    distinct, labels = group_values(loading)
+    row_norms = np.sqrt(np.bincount(labels, minlength=len(distinct)).astype(float))
+    return LineLevels(line=line, distinct_values=distinct, labels=labels, row_norms=row_norms)
+
+
+@dataclass(frozen=True)
 class LineFlowMap:
-    """Sparse 0/1 map from joint injection states to distinct loading levels.
+    """Dense 0/1 map from joint injection states to distinct loading levels.
 
     ``m[k, c] == 1`` iff joint state ``c`` produces the loading level
     ``distinct_values[k]`` (absolute value, fraction of rating).  Every
@@ -82,34 +153,39 @@ class LineFlowMap:
         return self.m.shape[1]
 
 
+def _dense_path_bytes(n_rows: int, n_columns: int) -> int:
+    """Lower bound on the memory the dense path holds at once.
+
+    The float64 map and its orthonormalized copy, plus one complex
+    ``n_columns`` x ``n_columns`` operator of the factorization.
+    """
+    return 2 * 8 * n_rows * n_columns + 16 * n_columns * n_columns
+
+
 def build_line_map(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
     line: str = "",
 ) -> LineFlowMap:
-    """Enumerate the loading value of every joint state and group equal ones.
+    """Dense form of :func:`line_levels`: one 0/1 row per loading level.
 
-    ``h_row`` must be the rated distribution-factor row restricted to the
-    non-slack buses, ordered consistently with ``distributions``.  Loading
-    signs are folded by absolute value.
+    Raises :class:`ConfigurationError` before allocating anything dense
+    when its lower bound on the dense path's memory exceeds
+    ``DENSE_BUDGET_BYTES``.
     """
-    h_row = np.asarray(h_row, dtype=float)
-    if len(distributions) == 0:
-        raise ConfigurationError("need at least one distribution")
-    if len(h_row) != len(distributions):
-        raise ConfigurationError("h_row length must match the number of distributions")
-
-    loading = np.array([0.0])
-    for h, dist in zip(h_row, distributions):
-        loading = kron_sum(loading, h * dist.values_mw)
-    loading = np.abs(loading)
-
-    distinct, labels = group_values(loading)
-    n_cols = len(loading)
-    m = np.zeros((len(distinct), n_cols))
-    m[labels, np.arange(n_cols)] = 1.0
-    row_norms = np.sqrt(m.sum(axis=1))
-    return LineFlowMap(line=line, distinct_values=distinct, m=m, row_norms=row_norms)
+    levels = line_levels(h_row, distributions, line=line)
+    n_rows, n_cols = levels.n_rows, levels.n_columns
+    needed = _dense_path_bytes(n_rows, n_cols)
+    if needed > DENSE_BUDGET_BYTES:
+        raise ConfigurationError(
+            f"dense flow map for {n_cols} joint states needs at least "
+            f"{needed / 2**30:.1f} GiB, over the {DENSE_BUDGET_BYTES / 2**30:.1f} GiB budget"
+        )
+    m = np.zeros((n_rows, n_cols))
+    m[levels.labels, np.arange(n_cols)] = 1.0
+    return LineFlowMap(
+        line=line, distinct_values=levels.distinct_values, m=m, row_norms=levels.row_norms
+    )
 
 
 def orthonormalize_rows(lf_map: LineFlowMap) -> LineFlowMap:
@@ -176,10 +252,10 @@ class EstimatorVector:
 
 
 def build_estimator_vector(
-    lf_map: LineFlowMap,
+    lf_map: LineFlowMap | LineLevels,
     metric: str,
     n_qubits: int,
-    encodings: list[EncodedInjection],
+    encodings: Sequence[EncodedInjection],
     threshold: float | None = None,
 ) -> EstimatorVector:
     """Build the metric weight vector, padded to the full state dimension."""
@@ -192,13 +268,24 @@ def build_estimator_vector(
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")
-        over = lf_map.distinct_values >= threshold
+        over = lf_map.distinct_values >= threshold - THRESHOLD_TOL
         v[: lf_map.n_rows] = np.where(over, lf_map.row_norms, 0.0)
     else:
         raise ConfigurationError(f"unknown metric {metric!r}")
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
     scaling = float(np.linalg.norm(v)) * prod_norms
     return EstimatorVector(metric=metric, threshold=threshold, v=v, scaling=scaling)
+
+
+def _householder_vector(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(w, ||w||^2)`` of the reflection taking the last axis to ``v / ||v||``."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ConfigurationError("householder vector must be non-zero")
+    w = v / norm
+    w[-1] -= 1.0
+    return w, float(w @ w)
 
 
 def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
@@ -208,16 +295,10 @@ def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
     state after applying it equals the normalized inner product with ``v``.
     Returns the identity when ``v`` already points along the last axis.
     """
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ConfigurationError("householder vector must be non-zero")
-    w = v / norm
-    w[-1] -= 1.0
-    wnorm2 = float(w @ w)
+    w, wnorm2 = _householder_vector(v)
     if wnorm2 < 1e-24:
-        return UnitaryMatrix(np.eye(len(v)))
-    return UnitaryMatrix(np.eye(len(v)) - 2.0 * np.outer(w, w) / wnorm2)
+        return UnitaryMatrix(np.eye(len(w)))
+    return UnitaryMatrix(np.eye(len(w)) - 2.0 * np.outer(w, w) / wnorm2)
 
 
 @dataclass(frozen=True)
@@ -275,3 +356,133 @@ def build_line_pipeline(
     preps = [state_prep_unitary(enc) for enc in encodings]
     pipeline = assemble_pipeline(preps, factorization, h_unitary, estimator.scaling)
     return pipeline, lf_map, estimator
+
+
+def _reflect(x: np.ndarray, w: np.ndarray, coef: float) -> np.ndarray:
+    """Rank-1 reflection ``(I - coef * w w^T) x``."""
+    return x - (coef * (w @ x)) * w
+
+
+@dataclass(frozen=True)
+class LevelCompletion:
+    """Unitary completion of the orthonormalized map as factors, C = P R.
+
+    R is one Householder reflection per loading level, taking the level's
+    first joint state to the uniform vector on the level.  P sends those
+    first states to indices 0..r-1 and keeps the others, in order, after
+    them.  Row k of C is therefore row k of the orthonormalized map; no SVD
+    is needed because the levels have disjoint supports.
+    """
+
+    labels: np.ndarray
+    inv_sqrt: np.ndarray  # 1/sqrt(level size)
+    gain: np.ndarray  # 2 / ||w_k||^2, zero for single-state levels
+    first: np.ndarray  # first joint state of every level
+    order: np.ndarray  # (C x)[j] = (R x)[order[j]]
+
+    @classmethod
+    def from_levels(cls, levels: LineLevels) -> "LevelCompletion":
+        labels = levels.labels
+        n = len(labels)
+        first = np.unique(labels, return_index=True)[1]
+        inv_sqrt = 1.0 / levels.row_norms
+        # ||e_first - uniform||^2 = 2 - 2/sqrt(size)
+        wnorm2 = 2.0 - 2.0 * inv_sqrt
+        gain = np.divide(2.0, wnorm2, out=np.zeros_like(wnorm2), where=levels.row_norms > 1)
+        rest = np.ones(n, dtype=bool)
+        rest[first] = False
+        order = np.concatenate((first, np.flatnonzero(rest)))
+        return cls(labels=labels, inv_sqrt=inv_sqrt, gain=gain, first=first, order=order)
+
+    def _reflect_levels(self, x: np.ndarray) -> np.ndarray:
+        # per level: w = e_first - uniform, R x = x - gain * (w . x) w
+        sums = np.bincount(self.labels, weights=x, minlength=len(self.first))
+        dots = x[self.first] - sums * self.inv_sqrt
+        beta = self.gain * dots
+        y = x + (beta * self.inv_sqrt)[self.labels]
+        y[self.first] -= beta
+        return y
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._reflect_levels(x)[self.order]
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        y[self.order] = x
+        return self._reflect_levels(y)
+
+
+@dataclass(frozen=True)
+class PipelineOperator:
+    """The pipeline operator A = H C prep, kept as factors and applied as calls.
+
+    ``prep`` is the Kronecker product of the per-bus state-prep reflections,
+    ``C`` the :class:`LevelCompletion` and ``H`` the rank-1 metric
+    reflection.  Same contract as :class:`PipelineUnitary`: the amplitude of
+    ``good_state_index`` in ``A|0>`` is the metric on the amplitude scale.
+    """
+
+    encodings: tuple[EncodedInjection, ...]
+    completion: LevelCompletion
+    h_vector: np.ndarray
+    h_gain: float
+    good_state_index: int
+    scaling: float
+
+    @property
+    def n_qubits(self) -> int:
+        return sum(enc.n_qubits for enc in self.encodings)
+
+    @property
+    def dim(self) -> int:
+        return len(self.h_vector)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a real vector x of length ``dim``."""
+        y = self.completion.apply(apply_state_prep(self.encodings, x))
+        return _reflect(y, self.h_vector, self.h_gain)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """A^T x; every factor but the permutation is symmetric."""
+        y = self.completion.apply_adjoint(_reflect(x, self.h_vector, self.h_gain))
+        return apply_state_prep(self.encodings, y)
+
+    def prepared(self) -> np.ndarray:
+        """A|0>."""
+        e0 = np.zeros(self.dim)
+        e0[0] = 1.0
+        return self.apply(e0)
+
+
+def build_pipeline_operator(
+    h_row: np.ndarray,
+    distributions: list[InjectionDistribution],
+    metric: str,
+    threshold: float | None = None,
+    line: str = "",
+) -> tuple[PipelineOperator | None, LineLevels, EstimatorVector]:
+    """Structured counterpart of :func:`build_line_pipeline`; no dense matrix.
+
+    Returns ``(operator, levels, estimator)``; the operator is ``None`` when
+    the estimator is degenerate.  Seeded probes check ``||A x|| = ||x||``
+    and ``A^T A x = x`` in place of a dense unitarity residual.
+    """
+    encodings = tuple(encode(d) for d in distributions)
+    n_qubits = sum(enc.n_qubits for enc in encodings)
+    if n_qubits > MAX_QUBITS:
+        raise ConfigurationError(f"{n_qubits} qubits, at most {MAX_QUBITS} supported")
+    levels = line_levels(h_row, distributions, line=line)
+    estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
+    if estimator.is_degenerate:
+        return None, levels, estimator
+    h_vector, wnorm2 = _householder_vector(estimator.v)
+    op = PipelineOperator(
+        encodings=encodings,
+        completion=LevelCompletion.from_levels(levels),
+        h_vector=h_vector,
+        h_gain=0.0 if wnorm2 < 1e-24 else 2.0 / wnorm2,
+        good_state_index=2**n_qubits - 1,
+        scaling=estimator.scaling,
+    )
+    probe_unitary(op.apply, op.dim, op.apply_adjoint)
+    return op, levels, estimator

@@ -7,6 +7,7 @@ the forecast probabilities up to the recorded norm factor.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,13 @@ def joint_state(encodings: list[EncodedInjection]) -> StateVector:
     return StateVector(n, amps)
 
 
+def _prep_vector(encoding: EncodedInjection) -> tuple[np.ndarray, float]:
+    """``(w, ||w||^2)`` of the reflection taking the all-zero state to the amplitudes."""
+    w = encoding.amplitudes.copy()
+    w[0] -= 1.0
+    return w, float(w @ w)
+
+
 def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     """Unitary whose first column is the amplitude vector.
 
@@ -98,11 +106,31 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     amplitude vector; reduces to the identity when the vector already is
     that basis state.
     """
-    b = encoding.amplitudes
-    n = len(b)
-    w = b.copy()
-    w[0] -= 1.0
-    wnorm2 = float(w @ w)
+    w, wnorm2 = _prep_vector(encoding)
+    n = len(w)
     if wnorm2 < 1e-24:
         return UnitaryMatrix(np.eye(n))
     return UnitaryMatrix(np.eye(n) - 2.0 * np.outer(w, w) / wnorm2)
+
+
+def apply_state_prep(encodings: Sequence[EncodedInjection], x: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of the per-bus :func:`state_prep_unitary` to ``x``.
+
+    ``x`` is viewed as one axis per bus, first bus most significant, and
+    each reflection contracts its own axis: O(2^n * sum 2^k) time, no
+    matrix.  The product is symmetric, so this is also its adjoint.
+    """
+    y = np.array(x, dtype=float)
+    if len(y) != int(np.prod([len(enc.amplitudes) for enc in encodings])):
+        raise ConfigurationError("state length does not match the encodings")
+    left, right = 1, len(y)
+    for enc in encodings:
+        k = len(enc.amplitudes)
+        right //= k
+        w, wnorm2 = _prep_vector(enc)
+        if wnorm2 >= 1e-24:
+            block = y.reshape(left, k, right)
+            dots = np.einsum("lkr,k->lr", block, w)
+            block -= (2.0 / wnorm2) * w[None, :, None] * dots[:, None, :]
+        left *= k
+    return y

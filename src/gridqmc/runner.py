@@ -11,10 +11,16 @@ from . import __version__
 from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
-from .estimation import EstimationResult, build_grover, iqae, rescale
-from .flowmap import build_line_pipeline
+from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
+from .flowmap import (
+    build_line_map,
+    build_line_pipeline,
+    build_pipeline_operator,
+    orthonormalize_rows,
+    unitary_factorize,
+)
 from .grid import build_ptdf, rate_scale_ptdf
-from .injection import encode, joint_state, state_prep_unitary
+from .injection import encode, joint_state
 from .simulator import StateVector, apply, sample_counts, zero_state
 
 STAGES = ("psi", "L", "V")
@@ -102,7 +108,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         )
 
     if "iqae" in an.methods:
-        pipeline, _, estimator = build_line_pipeline(
+        pipeline, _, estimator = build_pipeline_operator(
             h_row, distributions, an.metric, threshold, line=an.line
         )
         if pipeline is None:
@@ -113,7 +119,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
                 alpha=an.alpha, seed=an.seed,
             )
         else:
-            grover = build_grover(pipeline)
+            grover = build_grover_iterate(pipeline)
             raw = iqae(grover, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
             results["iqae"] = rescale(raw, estimator.scaling)
 
@@ -146,29 +152,28 @@ def run_analysis(config: PipelineConfig) -> RunReport:
 
 
 def stage_state(config: PipelineConfig, stage: str) -> StateVector:
-    """Statevector after the requested pipeline stage for the configured line."""
+    """Statevector after the requested pipeline stage for the configured line.
+
+    Stages L and V use the dense SVD completion, so their amplitudes beyond
+    the top rows follow the dense oracle.
+    """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
     h_row, distributions = _analysis_inputs(config)
-    encodings = [encode(d) for d in distributions]
     if stage == "psi":
-        return joint_state(encodings)
+        return joint_state([encode(d) for d in distributions])
+    if stage == "L":
+        # flow map applied to the joint state, estimator reflection omitted
+        lf_map = orthonormalize_rows(build_line_map(h_row, distributions, line=an.line))
+        fact = unitary_factorize(lf_map)
+        prep = joint_state([encode(d) for d in distributions])
+        return apply(fact.u_padded, apply(fact.v_h, prep))
     threshold = an.threshold_fraction if an.metric == "overload" else None
-    pipeline, _, estimator = build_line_pipeline(
-        h_row, distributions, an.metric, threshold, line=an.line
-    )
-    if stage == "V":
-        if pipeline is None:
-            raise ConfigurationError("estimator is degenerate; stage V is undefined")
-        return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
-    # stage L: flow map applied to the joint state, estimator reflection omitted
-    from .flowmap import unitary_factorize, orthonormalize_rows, build_line_map
-
-    lf_map = orthonormalize_rows(build_line_map(h_row, distributions, line=an.line))
-    fact = unitary_factorize(lf_map)
-    prep = joint_state(encodings)
-    return apply(fact.u_padded, apply(fact.v_h, prep))
+    pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
+    if pipeline is None:
+        raise ConfigurationError("estimator is degenerate; stage V is undefined")
+    return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
 
 
 def export_histogram(

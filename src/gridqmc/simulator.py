@@ -1,11 +1,13 @@
-"""Minimal dense statevector simulator.
+"""Minimal statevector simulator.
 
-Supports exactly what the pipeline needs: applying dense unitaries, reading
-exact basis-state probabilities and drawing seeded measurement shots.
-Everything is immutable; no gates, no noise, no hardware backends.
+Supports exactly what the pipeline needs: applying dense unitaries, checking
+matrix-free operators, reading exact basis-state probabilities and drawing
+seeded measurement shots.  Everything is immutable; no gates, no noise, no
+hardware backends.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,8 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-10
+_PROBE_COUNT = 3
+_PROBE_SEED = 20231003
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,29 @@ class UnitaryMatrix:
     @property
     def n_qubits(self) -> int:
         return int(self.entries.shape[0]).bit_length() - 1
+
+
+def probe_unitary(
+    op: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> None:
+    """Check a matrix-free operator on seeded random unit vectors.
+
+    Requires ``||U x|| = ||x||`` and, given the adjoint, ``U^T U x = x``
+    within the unitarity tolerance: a few operator calls in place of the
+    O(dim^3) dense check.
+    """
+    rng = np.random.default_rng(_PROBE_SEED)
+    for _ in range(_PROBE_COUNT):
+        x = rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        ux = op(x)
+        residual = abs(np.linalg.norm(ux) - 1.0)
+        if adjoint is not None:
+            residual = max(residual, float(np.max(np.abs(adjoint(ux) - x))))
+        if residual > _UNITARY_TOL:
+            raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -98,6 +98,21 @@ class TestClassicalMc:
             hits += res.ci_low <= ex.mean <= res.ci_high
         assert hits / 100 >= 0.93
 
+    def test_one_sample_budget_answered(self):
+        # round(1.96^2 p (1 - p) / 0.01^2) = 1: no sample deviation exists
+        dist = InjectionDistribution(bus=1, values_mw=[0, 1], probabilities=[1 - 2.6e-5, 2.6e-5])
+        res = classical_mc([1.0], [dist], "overload", 0.01, 0.05, rng_seed=1, threshold=1.0)
+        assert res.shots_total == 1
+        assert np.isfinite(res.ci_low) and np.isfinite(res.ci_high)
+        assert res.ci_low <= res.metric_value <= res.ci_high
+
+    def test_threshold_on_level_counts_as_overload(self):
+        # 0.3 * 3 evaluates to 0.8999999999999999
+        dist = InjectionDistribution(bus=1, values_mw=[0, 1, 2, 3], probabilities=[0.1, 0.2, 0.3, 0.4])
+        assert exact_line_distribution([0.3], [dist]).overload_probability(0.9) == pytest.approx(0.4)
+        res = classical_mc([0.3], [dist], "overload", 0.01, 0.05, rng_seed=0, threshold=0.9)
+        assert res.ci_low <= 0.4 <= res.ci_high
+
     def test_seed_reproducibility(self):
         dists = [forecast(1), forecast(2)]
         r1 = classical_mc([0.4, 0.6], dists, "mean", 0.01, 0.05, rng_seed=12)

@@ -11,6 +11,7 @@ from gridqmc import (
     run_analysis,
 )
 from gridqmc.cli import main
+from tests.conftest import ring_study
 
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
@@ -103,6 +104,27 @@ class TestRunAnalysis:
         report = run_analysis(load_config(write_config(tmp_path, mutate)))
         assert report.results["iqae"].metric_value == 0.0
         assert report.results["iqae"].shots_total == 0
+
+    def test_threshold_on_loading_level(self, tmp_path):
+        # rated row 0.3: the top level 0.3 * 3 lands one ulp below the 0.9 threshold
+        raw = {
+            "network": {
+                "buses": [1, 2],
+                "slack_bus": 2,
+                "lines": [{"id": "l", "from_bus": 1, "to_bus": 2, "susceptance_pu": 1.0,
+                           "rating_mw": 10 / 3}],
+            },
+            "injections": [{"bus": 1, "values_mw": [0, 1, 2, 3], "probabilities": [0.1, 0.2, 0.3, 0.4]}],
+            "analysis": {"line": "l", "metric": "overload", "threshold_pct": 90,
+                         "methods": ["iqae", "exact"], "seed": 3},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        report = run_analysis(load_config(path))
+        assert report.exact_value == pytest.approx(0.4)
+        res = report.results["iqae"]
+        assert res.ci_low <= 0.4 <= res.ci_high
+        assert report.coverage["iqae"]
 
     def test_report_deterministic(self, three_bus_config):
         r1 = run_analysis(three_bus_config).to_json()
@@ -199,6 +221,18 @@ class TestCli:
             outs.append((tmp_path / name).read_text())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["seed"] == 123
+
+    def test_sixteen_qubit_run_and_oversized_dense_stage(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring_study(8)))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["results"]) == {"iqae", "exact"}
+        # the dense stage-L map alone would take GiBs: refused before allocation
+        code = main(["histogram", "--config", str(path), "--stage", "L",
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_histogram_command(self, tmp_path):
         out = tmp_path / "h.csv"

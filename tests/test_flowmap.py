@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridqmc import (
+    ConfigurationError,
     InjectionDistribution,
     apply,
     build_estimator_vector,
@@ -16,9 +17,9 @@ from gridqmc import (
     unitary_factorize,
     zero_state,
 )
-from gridqmc.flowmap import assemble_pipeline
+from gridqmc.flowmap import assemble_pipeline, group_values
 from gridqmc.injection import state_prep_unitary
-from tests.conftest import random_distribution
+from tests.conftest import random_distribution, synthetic_grid
 
 
 def unit_dist(bus, values):
@@ -81,6 +82,41 @@ class TestBuildLineMap:
             assert np.array_equal(lf.m.sum(axis=0), np.ones(16))
             assert lf.row_norms == pytest.approx(np.sqrt(lf.m.sum(axis=1)))
 
+    def test_oversized_map_refused_before_allocation(self):
+        # 16 qubits: the dense path would need tens of GiB
+        h, dists = synthetic_grid(8)
+        with pytest.raises(ConfigurationError, match="budget"):
+            build_line_map(h, dists)
+
+
+def group_values_loop(values, tol=1e-9):
+    """Per-level reference for group_values: one ndarray.mean per level."""
+    order = np.argsort(values)
+    ordered = values[order]
+    bounds = np.flatnonzero(np.diff(ordered) > tol) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(values)]))
+    labels = np.empty(len(values), dtype=int)
+    distinct = np.empty(len(starts))
+    for k, (s, e) in enumerate(zip(starts, ends)):
+        labels[order[s:e]] = k
+        distinct[k] = ordered[s:e].mean()
+    return distinct, labels
+
+
+class TestGroupValues:
+    def test_matches_per_level_mean_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for size in [1, 2, 3, 9, 40, 300, 5000]:
+            # few levels so runs of every length occur, jittered inside the tolerance
+            n_levels = int(rng.integers(1, size + 1))
+            values = rng.uniform(0, 3, n_levels)[rng.integers(0, n_levels, size)]
+            values += rng.uniform(0, 5e-10, size) * rng.integers(0, 2, size)
+            distinct, labels = group_values(values)
+            ref_distinct, ref_labels = group_values_loop(values)
+            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(distinct, ref_distinct)
+
 
 class TestOrthonormalize:
     def test_identity_unchanged(self):
@@ -139,6 +175,13 @@ class TestEstimatorVector:
             self.three_row_map(), "overload", 2, self.encodings(), threshold=2.0
         )
         assert est.v == pytest.approx([0, 0, 1, 0])
+
+    def test_threshold_on_level_counts(self):
+        # 0.3 * 3 evaluates to 0.8999999999999999, one ulp below the threshold
+        dist = InjectionDistribution(bus=1, values_mw=[0, 1, 2, 3], probabilities=[0.1, 0.2, 0.3, 0.4])
+        lf = orthonormalize_rows(build_line_map([0.3], [dist]))
+        est = build_estimator_vector(lf, "overload", 2, [encode(dist)], threshold=0.9)
+        assert est.v == pytest.approx([0, 0, 0, 1])
 
     def test_degenerate_above_all_values(self):
         est = build_estimator_vector(
