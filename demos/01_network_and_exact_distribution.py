@@ -44,8 +44,8 @@ print("\nexact |loading| distribution of line 1-2 (fraction of rating):")
 for value, prob in zip(exact.values, exact.probabilities):
     print(f"  {value:6.4f}  p = {prob:.4f}")
 print(f"\nmean loading      : {exact.mean:.4f}")
-print(f"std of loading    : {exact.std_normalized:.4f}")
+print(f"std of loading    : {exact.std:.4f}")
 print(f"overload P(>=90%) : {exact.overload_probability(0.9):.4f}")
 
-n = required_samples(exact.std_normalized, epsilon=0.01, alpha=0.05)
+n = required_samples(exact.std, epsilon=0.01, alpha=0.05)
 print(f"\nplain Monte Carlo needs about {n} samples for a 1% margin at 95% confidence")

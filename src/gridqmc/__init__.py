@@ -9,33 +9,12 @@ enumeration baselines for comparison.
 
 __version__ = "0.1.0"
 
-from .classical import (
-    ExactDistribution,
-    classical_mc,
-    exact_line_distribution,
-    required_samples,
-)
-from .config import (
-    AnalysisSettings,
-    PipelineConfig,
-    builtin_config_path,
-    load_config,
-    parse_config,
-)
-from .errors import (
-    ConfigurationError,
-    DisconnectedNetworkError,
-    EnumerationBoundError,
-    EstimationFailureError,
-    FactorizationError,
-    GridQmcError,
-)
-from .estimation import EstimationResult, GroverOperator, build_grover, iqae, rescale
+from .classical import classical_mc, exact_line_distribution, required_samples
+from .config import builtin_config_path, load_config
+from .errors import ConfigurationError, DisconnectedNetworkError
+from .estimation import EstimationResult, build_grover, iqae, rescale
 from .flowmap import (
-    EstimatorVector,
-    LineFlowMap,
     PipelineUnitary,
-    UnitaryFactorization,
     assemble_pipeline,
     build_estimator_vector,
     build_line_map,
@@ -45,14 +24,8 @@ from .flowmap import (
     orthonormalize_rows,
     unitary_factorize,
 )
-from .grid import Line, Network, PtdfMatrix, build_ptdf, rate_scale_ptdf
-from .injection import (
-    EncodedInjection,
-    InjectionDistribution,
-    encode,
-    joint_state,
-    state_prep_unitary,
-)
+from .grid import Line, Network, build_ptdf, rate_scale_ptdf
+from .injection import InjectionDistribution, encode, joint_state, state_prep_unitary
 from .runner import RunReport, export_histogram, run_analysis, stage_state
 from .simulator import (
     StateVector,

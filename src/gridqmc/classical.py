@@ -1,17 +1,16 @@
 """Classical baselines: exact enumeration and seeded Monte Carlo.
 
-The enumeration oracle walks every joint injection bin explicitly and is
-kept independent of the quantum flow-map construction, so the two paths can
+The enumeration oracle visits every joint injection bin and is kept
+independent of the quantum flow-map construction, so the two paths can
 be checked against each other.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError, EnumerationBoundError
 from .estimation import EstimationResult
@@ -26,16 +25,14 @@ _VALUE_TOL = 1e-9
 class ExactDistribution:
     """Exact distribution of the absolute line loading.
 
-    ``std_normalized`` is the standard deviation of the loading expressed
-    as a fraction of the line rating, the unit in which the sample-count
-    formula and epsilon are stated.
+    Values, mean and ``std`` are fractions of the line rating, the unit in
+    which the sample-count formula and epsilon are stated.
     """
 
     values: np.ndarray
     probabilities: np.ndarray
     mean: float
     std: float
-    std_normalized: float
 
     def overload_probability(self, threshold: float) -> float:
         return float(self.probabilities[self.values >= threshold - THRESHOLD_TOL].sum())
@@ -63,46 +60,30 @@ def exact_line_distribution(
     if total_states > _MAX_ENUM_STATES:
         raise EnumerationBoundError(f"{total_states} joint states exceed the enumeration bound")
 
-    pairs: list[tuple[float, float]] = []
-    bin_ranges = [range(len(d.values_mw)) for d in distributions]
-    for combo in itertools.product(*bin_ranges):
-        loading = 0.0
-        prob = 1.0
-        for h, dist, j in zip(h_row, distributions, combo):
-            loading += h * dist.values_mw[j]
-            prob *= dist.probabilities[j]
-        if prob > 0.0:
-            pairs.append((abs(loading), prob))
-
-    pairs.sort()
-    values: list[float] = []
-    probs: list[float] = []
-    for loading, prob in pairs:
-        if values and loading - values[-1] <= _VALUE_TOL:
-            # merge into the running cluster, mass-weighted representative
-            merged = probs[-1] + prob
-            if merged > 0:
-                values[-1] = (values[-1] * probs[-1] + loading * prob) / merged
-            probs[-1] = merged
-        else:
-            values.append(loading)
-            probs.append(prob)
-
-    values_arr = np.array(values)
-    probs_arr = np.array(probs)
+    # mixed radix over the joint states, first bus most significant
+    loading, mass = np.zeros(1), np.ones(1)
+    for h, dist in zip(h_row, distributions):
+        loading = np.add.outer(loading, h * dist.values_mw).ravel()
+        mass = np.multiply.outer(mass, dist.probabilities).ravel()
+    keep = mass > 0.0
+    loading = np.abs(loading[keep])
+    order = np.argsort(loading, kind="stable")
+    loading, mass = loading[order], mass[keep][order]
+    # a level is a chain of sorted values whose consecutive gaps are within the tolerance
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))
+    probs_arr = np.add.reduceat(mass, starts)
+    values_arr = np.add.reduceat(loading * mass, starts) / probs_arr
     mean = float(values_arr @ probs_arr)
     var = float(((values_arr - mean) ** 2) @ probs_arr)
     std = math.sqrt(max(var, 0.0))
-    return ExactDistribution(
-        values=values_arr, probabilities=probs_arr, mean=mean, std=std, std_normalized=std
-    )
+    return ExactDistribution(values=values_arr, probabilities=probs_arr, mean=mean, std=std)
 
 
 def _critical_value(alpha: float) -> float:
     # 1.96 pinned for the standard 95% interval; tables are quoted with it
     if abs(alpha - 0.05) < 1e-12:
         return 1.96
-    return float(stats.norm.ppf(1 - alpha / 2))
+    return float(special.ndtri(1 - alpha / 2))
 
 
 def required_samples(sigma_n: float, epsilon: float, alpha: float) -> int:
@@ -133,7 +114,7 @@ def classical_mc(
     """
     exact = exact_line_distribution(h_row, distributions)
     if metric == "mean":
-        sigma_n = exact.std_normalized
+        sigma_n = exact.std
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")

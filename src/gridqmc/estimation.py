@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError, EstimationFailureError
 from .flowmap import PipelineOperator, PipelineUnitary
@@ -157,14 +157,13 @@ def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
 
 def _clopper_pearson(one_counts: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval."""
-    lo = 0.0 if one_counts == 0 else float(stats.beta.ppf(alpha / 2, one_counts, shots - one_counts + 1))
-    hi = 1.0 if one_counts == shots else float(stats.beta.ppf(1 - alpha / 2, one_counts + 1, shots - one_counts))
+    k, n = one_counts, shots
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 
-def _find_next_k(
-    k: int, upper_half: bool, theta_interval: tuple[float, float], min_ratio: float = 2.0
-) -> tuple[int, bool]:
+def _find_next_k(k: int, upper_half: bool, theta_interval: tuple[float, float]) -> tuple[int, bool]:
     """Largest power such that the scaled angle interval stays invertible.
 
     Angles are in units of full turns; the scaled interval (4k+2)*interval
@@ -174,7 +173,7 @@ def _find_next_k(
     old_scaling = 4 * k + 2
     max_scaling = int(1 / (2 * (theta_u - theta_l)))
     scaling = max_scaling - (max_scaling - 2) % 4
-    while scaling >= min_ratio * old_scaling:
+    while scaling >= 2 * old_scaling:
         theta_min = scaling * theta_l - int(scaling * theta_l)
         theta_max = scaling * theta_u - int(scaling * theta_u)
         if theta_min <= theta_max <= 0.5:

@@ -58,15 +58,16 @@ def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.outer(a, b).ravel()
 
 
-def group_values(values: np.ndarray, tol: float = VALUE_GROUP_TOL) -> tuple[np.ndarray, np.ndarray]:
+def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cluster a value vector into distinct levels within an absolute tolerance.
 
     Returns (sorted distinct levels, index of each input value's level).
-    Values are chained: a new level starts where the sorted gap exceeds tol.
+    Values are chained: a new level starts where the sorted gap exceeds
+    ``VALUE_GROUP_TOL``.
     """
     order = np.argsort(values)
     ordered = values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > tol) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > VALUE_GROUP_TOL) + 1))
     sizes = np.diff(np.append(starts, len(values)))
     labels = np.empty(len(values), dtype=int)
     labels[order] = np.repeat(np.arange(len(starts)), sizes)

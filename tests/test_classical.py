@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,8 @@ from gridqmc import (
     exact_line_distribution,
     required_samples,
 )
+from gridqmc.classical import _critical_value
+from gridqmc.errors import EnumerationBoundError
 from tests.conftest import FORECAST_PROBS, random_distribution
 
 
@@ -20,7 +26,69 @@ def uniform(bus):
     return InjectionDistribution(bus=bus, values_mw=[0, 1, 2, 3], probabilities=[0.25] * 4)
 
 
+def enumerate_states(h_row, dists, tol=1e-9):
+    """Brute-force oracle: one joint state at a time, in Python floats.
+
+    Zero-mass states are dropped; a level is a chain of sorted values whose
+    consecutive gaps are at most ``tol``, valued at its mass-weighted mean.
+    """
+    pairs = []
+    for combo in itertools.product(*(range(len(d.values_mw)) for d in dists)):
+        loading = sum(h * d.values_mw[j] for h, d, j in zip(h_row, dists, combo))
+        prob = math.prod(d.probabilities[j] for d, j in zip(dists, combo))
+        if prob > 0:
+            pairs.append((abs(loading), prob))
+    pairs.sort()
+    levels = []
+    for i, pair in enumerate(pairs):
+        if i == 0 or pair[0] - pairs[i - 1][0] > tol:
+            levels.append([])
+        levels[-1].append(pair)
+    probs = np.array([sum(p for _, p in level) for level in levels])
+    values = np.array([sum(v * p for v, p in level) for level in levels]) / probs
+    mean = values @ probs
+    return values, probs, mean, math.sqrt(((values - mean) ** 2) @ probs)
+
+
+@st.composite
+def tied_grids(draw):
+    """At most 10 qubits; h in multiples of 0.1 on integer MW levels ties
+    loadings exactly, and zero weights give zero-probability bins."""
+    h_row, dists = [], []
+    for bus in range(draw(st.integers(1, 5))):
+        n_bins = 2 ** draw(st.integers(1, 2))
+        values = draw(st.lists(st.integers(-4, 4), min_size=n_bins, max_size=n_bins, unique=True))
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n_bins, max_size=n_bins).filter(any)))
+        h_row.append(draw(st.integers(-10, 10)) * 0.1)
+        dists.append(InjectionDistribution(bus, sorted(values), weights / weights.sum()))
+    return h_row, dists
+
+
 class TestExactDistribution:
+    @given(tied_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_state_by_state_enumeration(self, grid):
+        h_row, dists = grid
+        ex = exact_line_distribution(h_row, dists)
+        values, probs, mean, std = enumerate_states(h_row, dists)
+        assert len(ex.values) == len(values)
+        assert np.allclose(ex.values, values, rtol=0, atol=1e-12)
+        assert np.allclose(ex.probabilities, probs, rtol=0, atol=1e-12)
+        assert ex.mean == pytest.approx(mean, rel=0, abs=1e-12)
+        assert ex.std == pytest.approx(std, rel=0, abs=1e-12)
+
+    def test_bound_checked_before_enumerating(self):
+        # 2^21 joint states: one enumerated array alone would take 16 MiB
+        dists = [InjectionDistribution(bus=b, values_mw=[0, 1], probabilities=[0.5, 0.5]) for b in range(21)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBoundError, match="2097152 joint states"):
+                exact_line_distribution(np.full(21, 0.1), dists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_point_mass_pair(self):
         dists = [
             InjectionDistribution(bus=1, values_mw=[0, 1, 2, 3], probabilities=[0, 1, 0, 0]),
@@ -60,6 +128,13 @@ class TestRequiredSamples:
 
     def test_zero_sigma(self):
         assert required_samples(0.0, 0.01, 0.05) == 0
+
+    def test_critical_value_is_normal_quantile(self):
+        from scipy import stats
+
+        assert _critical_value(0.05) == 1.96
+        for alpha in (0.1, 0.01):
+            assert _critical_value(alpha) == stats.norm.ppf(1 - alpha / 2)
 
     @given(
         st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.001, 0.1), st.floats(0.001, 0.1)

@@ -1,8 +1,15 @@
+import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridqmc
 from gridqmc import (
     ConfigurationError,
     builtin_config_path,
@@ -242,3 +249,23 @@ class TestCli:
         ])
         assert code == 0
         assert out.read_text().startswith("bitstring,count,exact_probability")
+
+
+class TestPackageSurface:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        code = "import sys, gridqmc.cli; assert 'scipy.stats' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(gridqmc.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_imports_resolve(self):
+        # the benchmark imports these names; a trimmed export must not drop one
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        names = []
+        for file in ("replay.py", "worker.py"):
+            for node in ast.walk(ast.parse((bench / file).read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in ("gridqmc", "gridqmc.errors"):
+                    names += [(node.module, alias.name) for alias in node.names]
+        assert len(names) > 20
+        missing = [f"{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(mod), name)]
+        assert missing == []

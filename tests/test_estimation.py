@@ -79,6 +79,16 @@ class TestClopperPearson:
         lo, hi = _clopper_pearson(37, 100, 0.01)
         assert lo < 0.37 < hi
 
+    def test_equals_beta_quantiles(self):
+        from scipy import stats
+
+        for shots in (1, 2, 7, 100, 1000, 3000):
+            for ones in sorted({0, 1, shots // 3, shots // 2, shots - 1, shots}):
+                for alpha in (0.1, 0.05, 0.01, 0.05 / 7, 1e-4):
+                    lo = 0.0 if ones == 0 else stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
+                    hi = 1.0 if ones == shots else stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
+                    assert _clopper_pearson(ones, shots, alpha) == (lo, hi)
+
 
 class TestFindNextK:
     def test_initial_interval_keeps_k0(self):
