@@ -34,6 +34,12 @@ class AnalysisSettings:
             raise ConfigurationError(f"analysis.metric: unknown metric {self.metric!r}")
         if not 0 < self.threshold_pct <= 150:
             raise ConfigurationError("analysis.threshold_pct: must lie in (0, 150]")
+        if not 0 < self.alpha < 1:
+            raise ConfigurationError("analysis.alpha: must lie in (0, 1)")
+        if not self.epsilon > 0:
+            raise ConfigurationError("analysis.epsilon: must be positive")
+        if not self.shots_per_round >= 1:
+            raise ConfigurationError("analysis.shots_per_round: must be at least 1")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ConfigurationError(f"analysis.methods: unknown method {m!r}")

@@ -17,10 +17,6 @@ class EnumerationBoundError(GridQmcError):
     """Instance too large for exact enumeration."""
 
 
-class FactorizationError(GridQmcError):
-    """The flow map could not be factorized into unitaries."""
-
-
 class EstimationFailureError(GridQmcError):
     """Amplitude estimation did not converge within the round cap.
 

@@ -10,10 +10,11 @@ amplitude of the all-ones basis state.
 The estimation path, :func:`build_pipeline_operator`, keeps the operator in
 factored form and applies it to a statevector in O(2^n * sum 2^k) time:
 per-bus state-prep reflections, one reflection per loading level plus a
-permutation for the unitary completion of the map, and the rank-1 metric
-reflection.  The dense builders (:func:`build_line_map`,
-:func:`unitary_factorize`, :func:`assemble_pipeline`) complete the map by
-SVD instead; they serve the histogram stages and act as the small-n oracle.
+permutation for the unitary completion of the map (:class:`LevelCompletion`),
+and the rank-1 metric reflection.  The dense builders (:func:`build_line_map`,
+:func:`unitary_factorize`, :func:`assemble_pipeline`) materialize the same
+factors as matrices; they serve the histogram stages and act as the small-n
+oracle.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, FactorizationError
+from .errors import ConfigurationError
 from .injection import (
     EncodedInjection,
     InjectionDistribution,
@@ -41,8 +42,6 @@ THRESHOLD_TOL = 1e-9
 
 #: bytes above which :func:`build_line_map` refuses to build the dense path
 DENSE_BUDGET_BYTES = 2**30
-
-_SINGULAR_VALUE_TOL = 1e-6
 
 
 def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,36 +128,22 @@ def line_levels(
 
 
 @dataclass(frozen=True)
-class LineFlowMap:
-    """Dense 0/1 map from joint injection states to distinct loading levels.
+class LineFlowMap(LineLevels):
+    """Line levels with their dense 0/1 map onto the loading levels.
 
-    ``m[k, c] == 1`` iff joint state ``c`` produces the loading level
-    ``distinct_values[k]`` (absolute value, fraction of rating).  Every
-    column holds exactly one 1; ``row_norms[k]`` is the square root of the
-    number of ones in row ``k``.  ``m_sc`` is filled by
-    :func:`orthonormalize_rows`.
+    ``m[k, c] == 1`` iff ``labels[c] == k``: every column holds exactly one
+    1.  ``m_sc`` is filled by :func:`orthonormalize_rows`.
     """
 
-    line: str
-    distinct_values: np.ndarray
     m: np.ndarray
-    row_norms: np.ndarray
     m_sc: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.distinct_values)
-
-    @property
-    def n_columns(self) -> int:
-        return self.m.shape[1]
 
 
 def _dense_path_bytes(n_rows: int, n_columns: int) -> int:
     """Lower bound on the memory the dense path holds at once.
 
     The float64 map and its orthonormalized copy, plus one complex
-    ``n_columns`` x ``n_columns`` operator of the factorization.
+    ``n_columns`` x ``n_columns`` operator of the completion.
     """
     return 2 * 8 * n_rows * n_columns + 16 * n_columns * n_columns
 
@@ -184,9 +169,7 @@ def build_line_map(
         )
     m = np.zeros((n_rows, n_cols))
     m[levels.labels, np.arange(n_cols)] = 1.0
-    return LineFlowMap(
-        line=line, distinct_values=levels.distinct_values, m=m, row_norms=levels.row_norms
-    )
+    return LineFlowMap(**vars(levels), m=m)
 
 
 def orthonormalize_rows(lf_map: LineFlowMap) -> LineFlowMap:
@@ -198,11 +181,11 @@ def orthonormalize_rows(lf_map: LineFlowMap) -> LineFlowMap:
 
 @dataclass(frozen=True)
 class UnitaryFactorization:
-    """Two unitary factors whose product restores the semi-orthogonal map.
+    """The factors of a :class:`LevelCompletion` as dense unitaries.
 
-    The left SVD factor is padded to full dimension with an identity block;
-    the top ``n_rows`` rows of ``u_padded @ v_h`` equal the orthonormalized
-    map.
+    ``v_h`` is the per-level reflection R and ``u_padded`` the permutation
+    P; the top ``n_rows`` rows of ``u_padded @ v_h`` equal the
+    orthonormalized map.
     """
 
     v_h: UnitaryMatrix
@@ -210,24 +193,16 @@ class UnitaryFactorization:
 
 
 def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
-    """SVD of the orthonormalized map into a pair of unitaries.
+    """Materialize the unitary completion C = P R of the map's levels.
 
-    All singular values must equal one (guaranteed by row orthonormality);
-    larger deviations signal a malformed map.
+    Takes the map from :func:`build_line_map`, whose budget check bounds
+    the two dense factors.
     """
-    if lf_map.m_sc is None:
-        raise ConfigurationError("flow map must be orthonormalized first")
-    r, n = lf_map.m_sc.shape
-    if n & (n - 1) != 0:
-        raise ConfigurationError("column count must be a power of two")
-    u, s, v_h = np.linalg.svd(lf_map.m_sc, full_matrices=True)
-    if np.max(np.abs(s - 1.0)) > _SINGULAR_VALUE_TOL:
-        raise FactorizationError(
-            f"singular values deviate from 1 by {np.max(np.abs(s - 1.0)):.2e}"
-        )
-    u_padded = np.eye(n)
-    u_padded[:r, :r] = u
-    return UnitaryFactorization(v_h=UnitaryMatrix(v_h), u_padded=UnitaryMatrix(u_padded))
+    completion = LevelCompletion.from_levels(lf_map)
+    return UnitaryFactorization(
+        v_h=UnitaryMatrix(completion.reflection_matrix()),
+        u_padded=UnitaryMatrix(np.eye(lf_map.n_columns)[completion.order]),
+    )
 
 
 @dataclass(frozen=True)
@@ -253,7 +228,7 @@ class EstimatorVector:
 
 
 def build_estimator_vector(
-    lf_map: LineFlowMap | LineLevels,
+    levels: LineLevels,
     metric: str,
     n_qubits: int,
     encodings: Sequence[EncodedInjection],
@@ -261,16 +236,16 @@ def build_estimator_vector(
 ) -> EstimatorVector:
     """Build the metric weight vector, padded to the full state dimension."""
     dim = 2**n_qubits
-    if lf_map.n_columns != dim:
+    if levels.n_columns != dim:
         raise ConfigurationError("flow map does not match the qubit count")
     v = np.zeros(dim)
     if metric == "mean":
-        v[: lf_map.n_rows] = lf_map.distinct_values * lf_map.row_norms
+        v[: levels.n_rows] = levels.distinct_values * levels.row_norms
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")
-        over = lf_map.distinct_values >= threshold - THRESHOLD_TOL
-        v[: lf_map.n_rows] = np.where(over, lf_map.row_norms, 0.0)
+        over = levels.distinct_values >= threshold - THRESHOLD_TOL
+        v[: levels.n_rows] = np.where(over, levels.row_norms, 0.0)
     else:
         raise ConfigurationError(f"unknown metric {metric!r}")
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
@@ -371,8 +346,9 @@ class LevelCompletion:
     R is one Householder reflection per loading level, taking the level's
     first joint state to the uniform vector on the level.  P sends those
     first states to indices 0..r-1 and keeps the others, in order, after
-    them.  Row k of C is therefore row k of the orthonormalized map; no SVD
-    is needed because the levels have disjoint supports.
+    them.  Row k of C is therefore row k of the orthonormalized map, because
+    the levels have disjoint supports.  :func:`unitary_factorize` is its
+    dense form.
     """
 
     labels: np.ndarray
@@ -403,6 +379,14 @@ class LevelCompletion:
         y = x + (beta * self.inv_sqrt)[self.labels]
         y[self.first] -= beta
         return y
+
+    def reflection_matrix(self) -> np.ndarray:
+        """R as a dense matrix, exactly symmetric: ``I - gain_k w_k w_k^T`` per level."""
+        w = -self.inv_sqrt[self.labels]
+        w[self.first] += 1.0
+        s = np.sqrt(self.gain)[self.labels] * w
+        same_level = self.labels[:, None] == self.labels[None, :]
+        return np.eye(len(w)) - same_level * np.outer(s, s)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._reflect_levels(x)[self.order]

@@ -16,7 +16,6 @@ from .flowmap import (
     build_line_map,
     build_line_pipeline,
     build_pipeline_operator,
-    orthonormalize_rows,
     unitary_factorize,
 )
 from .grid import build_ptdf, rate_scale_ptdf
@@ -154,8 +153,9 @@ def run_analysis(config: PipelineConfig) -> RunReport:
 def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     """Statevector after the requested pipeline stage for the configured line.
 
-    Stages L and V use the dense SVD completion, so their amplitudes beyond
-    the top rows follow the dense oracle.
+    Stages L and V go through the dense builders, whose completion is the
+    materialized :class:`~gridqmc.flowmap.LevelCompletion`: the amplitudes
+    equal those of the structured operator.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
@@ -165,8 +165,7 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         return joint_state([encode(d) for d in distributions])
     if stage == "L":
         # flow map applied to the joint state, estimator reflection omitted
-        lf_map = orthonormalize_rows(build_line_map(h_row, distributions, line=an.line))
-        fact = unitary_factorize(lf_map)
+        fact = unitary_factorize(build_line_map(h_row, distributions, line=an.line))
         prep = joint_state([encode(d) for d in distributions])
         return apply(fact.u_padded, apply(fact.v_h, prep))
     threshold = an.threshold_fraction if an.metric == "overload" else None

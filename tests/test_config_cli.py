@@ -207,6 +207,36 @@ class TestCli:
         )
         assert main(["validate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "0"), ("--alpha", "-0.1"), ("--alpha", "1"), ("--epsilon", "0"), ("--epsilon", "nan"),
+    ])
+    def test_run_refuses_out_of_range_setting(self, flag, value, capsys):
+        code = main(["run", "--config", str(builtin_config_path("three_bus")),
+                     flag, value, "--methods", "exact,cmc"])
+        assert code == 2
+        assert f"analysis.{flag[2:]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
+    ])
+    def test_validate_refuses_out_of_range_setting(self, key, value, tmp_path, capsys):
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update({key: value}))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"analysis.{key}" in capsys.readouterr().err
+
+    def test_histogram_refuses_degenerate_stage_v(self, tmp_path, capsys):
+        def mutate(raw):
+            # every loading stays below the 149% threshold
+            for line in raw["network"]["lines"]:
+                line["rating_mw"] = 2.0
+            raw["analysis"].update(metric="overload", threshold_pct=149.0)
+
+        code = main(["histogram", "--config", str(write_config(tmp_path, mutate)),
+                     "--stage", "V", "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert "stage V is undefined" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
     def test_run_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = main([

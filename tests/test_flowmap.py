@@ -156,6 +156,23 @@ class TestUnitaryFactorize:
         for u in (fact.u_padded, fact.v_h):
             assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(4))) < 1e-10
 
+    def test_permutation_and_reflection(self):
+        rng = np.random.default_rng(13)
+        dists = [unit_dist(1, [0, 1, 2, 3]), random_distribution(rng, 2), unit_dist(3, [0, 1])]
+        lf = build_line_map([0.5, 0.0, 0.5], dists)
+        fact = unitary_factorize(lf)
+        p, r = fact.u_padded.entries, fact.v_h.entries
+        assert set(np.unique(p)) <= {0, 1}
+        assert np.array_equal(p.sum(axis=0), np.ones(32))
+        assert np.array_equal(p.sum(axis=1), np.ones(32))
+        assert np.array_equal(r, r.T)
+        assert np.max(np.abs(r @ r - np.eye(32))) < 1e-12
+        # needs no orthonormalized copy, and its top rows restore it
+        assert np.max(np.abs((p @ r)[: lf.n_rows] - orthonormalize_rows(lf).m_sc)) < 1e-12
+        again = unitary_factorize(lf)
+        assert np.array_equal(again.u_padded.entries, p)
+        assert np.array_equal(again.v_h.entries, r)
+
 
 class TestEstimatorVector:
     def three_row_map(self):

@@ -1,4 +1,5 @@
 """The structured pipeline operator against the dense oracle."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,19 +13,23 @@ from gridqmc import (
     apply,
     build_grover,
     build_line_pipeline,
+    builtin_config_path,
     encode,
     exact_line_distribution,
     iqae,
+    joint_state,
+    load_config,
     probability_of,
     state_prep_unitary,
     zero_state,
 )
+from gridqmc.config import parse_config
 from gridqmc.estimation import build_grover_iterate
-from gridqmc.flowmap import build_pipeline_operator
+from gridqmc.flowmap import LevelCompletion, build_pipeline_operator, line_levels
 from gridqmc.injection import apply_state_prep
-from gridqmc.runner import _analysis_inputs
+from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
-from tests.conftest import synthetic_grid
+from tests.conftest import ring_study, synthetic_grid
 
 
 def materialize(op, dim):
@@ -64,11 +69,34 @@ def check_against_dense(h_row, dists, metric, threshold=None):
 @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
 @pytest.mark.parametrize("metric", ["mean", "overload"])
 def test_bundled_studies_match_dense(name, metric):
-    from gridqmc import builtin_config_path, load_config
-
     cfg = load_config(builtin_config_path(name))
     h_row, dists = _analysis_inputs(cfg)
     check_against_dense(h_row, dists, metric, cfg.analysis.threshold_fraction)
+
+
+def nine_qubit_ring():
+    """Ring study with four 4-bin buses and one 2-bin bus."""
+    raw = ring_study(5, seed=4)
+    raw["injections"][-1].update(values_mw=[-1, 2], probabilities=[0.3, 0.7])
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize("study", ["three_bus", "five_bus", "nine_qubit_ring"])
+@pytest.mark.parametrize("metric", ["mean", "overload"])
+def test_dense_stages_equal_structured_path(study, metric):
+    cfg = nine_qubit_ring() if study == "nine_qubit_ring" else load_config(builtin_config_path(study))
+    cfg = dataclasses.replace(
+        cfg, analysis=dataclasses.replace(cfg.analysis, metric=metric, threshold_pct=40.0)
+    )
+    h_row, dists = _analysis_inputs(cfg)
+    psi = joint_state([encode(d) for d in dists]).amplitudes.real
+    completion = LevelCompletion.from_levels(line_levels(h_row, dists))
+    assert np.max(np.abs(stage_state(cfg, "L").amplitudes - completion.apply(psi))) < 1e-12
+
+    threshold = cfg.analysis.threshold_fraction if metric == "overload" else None
+    op, _, _ = build_pipeline_operator(h_row, dists, metric, threshold)
+    assert op is not None
+    assert np.max(np.abs(stage_state(cfg, "V").amplitudes - op.prepared())) < 1e-12
 
 
 @st.composite
