@@ -67,8 +67,15 @@ def exact_line_distribution(
         mass = np.multiply.outer(mass, dist.probabilities).ravel()
     keep = mass > 0.0
     loading = np.abs(loading[keep])
-    order = np.argsort(loading, kind="stable")
-    loading, mass = loading[order], mass[keep][order]
+    order = np.argsort(loading)
+    loading = loading[order]
+    # equal loadings back in enumeration order: the stable sort's order, whatever the sort
+    run = np.zeros(len(loading), dtype=np.int64)
+    np.not_equal(loading[1:], loading[:-1], out=run[1:])
+    np.cumsum(run, out=run)
+    run *= len(loading)
+    order = np.sort(run + order) - run
+    mass = mass[keep][order]
     # a level is a chain of sorted values whose consecutive gaps are within the tolerance
     starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))
     probs_arr = np.add.reduceat(mass, starts)
@@ -105,14 +112,17 @@ def classical_mc(
     alpha: float,
     rng_seed: int,
     threshold: float | None = None,
+    exact: ExactDistribution | None = None,
 ) -> EstimationResult:
     """Plain Monte Carlo estimate with a margin-of-error interval.
 
     The sample count comes from the classically computed standard deviation
     of the metric variable; sampling is inverse-CDF per bus with a seeded
-    generator.
+    generator.  ``exact`` is the :func:`exact_line_distribution` of the same
+    inputs, if the caller already has it; it is enumerated here otherwise.
     """
-    exact = exact_line_distribution(h_row, distributions)
+    if exact is None:
+        exact = exact_line_distribution(h_row, distributions)
     if metric == "mean":
         sigma_n = exact.std
     elif metric == "overload":

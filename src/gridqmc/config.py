@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .estimation import IQAE_MAX_EPSILON
 from .grid import Line, Network
 from .injection import InjectionDistribution
 
@@ -40,11 +41,15 @@ class AnalysisSettings:
             raise ConfigurationError("analysis.epsilon: must be positive")
         if not self.shots_per_round >= 1:
             raise ConfigurationError("analysis.shots_per_round: must be at least 1")
+        if not self.seed >= 0:
+            raise ConfigurationError("analysis.seed: must be non-negative")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ConfigurationError(f"analysis.methods: unknown method {m!r}")
         if not self.methods:
             raise ConfigurationError("analysis.methods: must not be empty")
+        if "iqae" in self.methods and not self.epsilon < IQAE_MAX_EPSILON:
+            raise ConfigurationError(f"analysis.epsilon: must be below {IQAE_MAX_EPSILON} for iqae")
 
     @property
     def threshold_fraction(self) -> float:

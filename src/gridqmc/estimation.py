@@ -31,6 +31,9 @@ from .simulator import (
 
 _PHASE_CHECK_TOL = 1e-8
 
+#: :func:`iqae` accepts half-widths epsilon in (0, IQAE_MAX_EPSILON)
+IQAE_MAX_EPSILON = 0.25
+
 
 @dataclass(frozen=True)
 class GroverOperator:
@@ -198,8 +201,8 @@ def iqae(
     good-state probability of the amplified circuit with a seeded binomial
     generator, so runs are reproducible.
     """
-    if not 0 < epsilon < 0.25:
-        raise ConfigurationError("epsilon must lie in (0, 0.25)")
+    if not 0 < epsilon < IQAE_MAX_EPSILON:
+        raise ConfigurationError(f"epsilon must lie in (0, {IQAE_MAX_EPSILON})")
     if not 0 < alpha < 1:
         raise ConfigurationError("alpha must lie in (0, 1)")
     if shots_per_round < 1:

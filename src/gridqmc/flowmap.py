@@ -27,8 +27,9 @@ from .errors import ConfigurationError
 from .injection import (
     EncodedInjection,
     InjectionDistribution,
-    apply_state_prep,
     encode,
+    prep_reflections,
+    reflect_axes,
     state_prep_unitary,
 )
 from .simulator import MAX_QUBITS, UnitaryMatrix, probe_unitary
@@ -402,12 +403,13 @@ class PipelineOperator:
     """The pipeline operator A = H C prep, kept as factors and applied as calls.
 
     ``prep`` is the Kronecker product of the per-bus state-prep reflections,
-    ``C`` the :class:`LevelCompletion` and ``H`` the rank-1 metric
-    reflection.  Same contract as :class:`PipelineUnitary`: the amplitude of
+    held as their :func:`~gridqmc.injection.prep_reflections`, ``C`` the
+    :class:`LevelCompletion` and ``H`` the rank-1 metric reflection.  Same
+    contract as :class:`PipelineUnitary`: the amplitude of
     ``good_state_index`` in ``A|0>`` is the metric on the amplitude scale.
     """
 
-    encodings: tuple[EncodedInjection, ...]
+    prep: tuple[tuple[np.ndarray, float], ...]
     completion: LevelCompletion
     h_vector: np.ndarray
     h_gain: float
@@ -416,7 +418,7 @@ class PipelineOperator:
 
     @property
     def n_qubits(self) -> int:
-        return sum(enc.n_qubits for enc in self.encodings)
+        return self.dim.bit_length() - 1
 
     @property
     def dim(self) -> int:
@@ -424,13 +426,19 @@ class PipelineOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a real vector x of length ``dim``."""
-        y = self.completion.apply(apply_state_prep(self.encodings, x))
+        self._check_length(x)
+        y = self.completion.apply(reflect_axes(self.prep, x))
         return _reflect(y, self.h_vector, self.h_gain)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """A^T x; every factor but the permutation is symmetric."""
+        self._check_length(x)
         y = self.completion.apply_adjoint(_reflect(x, self.h_vector, self.h_gain))
-        return apply_state_prep(self.encodings, y)
+        return reflect_axes(self.prep, y)
+
+    def _check_length(self, x: np.ndarray) -> None:
+        if len(x) != self.dim:
+            raise ConfigurationError("state length does not match the operator")
 
     def prepared(self) -> np.ndarray:
         """A|0>."""
@@ -462,7 +470,7 @@ def build_pipeline_operator(
         return None, levels, estimator
     h_vector, wnorm2 = _householder_vector(estimator.v)
     op = PipelineOperator(
-        encodings=encodings,
+        prep=prep_reflections(encodings),
         completion=LevelCompletion.from_levels(levels),
         h_vector=h_vector,
         h_gain=0.0 if wnorm2 < 1e-24 else 2.0 / wnorm2,

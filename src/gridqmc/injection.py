@@ -113,24 +113,38 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     return UnitaryMatrix(np.eye(n) - 2.0 * np.outer(w, w) / wnorm2)
 
 
-def apply_state_prep(encodings: Sequence[EncodedInjection], x: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of the per-bus :func:`state_prep_unitary` to ``x``.
+def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[tuple[np.ndarray, float], ...]:
+    """Per bus ``(w, 2 / ||w||^2)`` of :func:`state_prep_unitary`; the gain is zero for the identity."""
+    reflections = []
+    for enc in encodings:
+        w, wnorm2 = _prep_vector(enc)
+        reflections.append((w, 0.0 if wnorm2 < 1e-24 else 2.0 / wnorm2))
+    return tuple(reflections)
+
+
+def reflect_axes(reflections: Sequence[tuple[np.ndarray, float]], x: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of :func:`prep_reflections` to ``x``.
 
     ``x`` is viewed as one axis per bus, first bus most significant, and
     each reflection contracts its own axis: O(2^n * sum 2^k) time, no
-    matrix.  The product is symmetric, so this is also its adjoint.
+    matrix.  The product is symmetric, so this is also its adjoint.  The
+    caller checks that ``len(x)`` is the product of the axis lengths.
     """
     y = np.array(x, dtype=float)
-    if len(y) != int(np.prod([len(enc.amplitudes) for enc in encodings])):
-        raise ConfigurationError("state length does not match the encodings")
     left, right = 1, len(y)
-    for enc in encodings:
-        k = len(enc.amplitudes)
+    for w, gain in reflections:
+        k = len(w)
         right //= k
-        w, wnorm2 = _prep_vector(enc)
-        if wnorm2 >= 1e-24:
+        if gain:
             block = y.reshape(left, k, right)
             dots = np.einsum("lkr,k->lr", block, w)
-            block -= (2.0 / wnorm2) * w[None, :, None] * dots[:, None, :]
+            block -= gain * w[None, :, None] * dots[:, None, :]
         left *= k
     return y
+
+
+def apply_state_prep(encodings: Sequence[EncodedInjection], x: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of the per-bus :func:`state_prep_unitary` to ``x``."""
+    if len(x) != int(np.prod([len(enc.amplitudes) for enc in encodings])):
+        raise ConfigurationError("state length does not match the encodings")
+    return reflect_axes(prep_reflections(encodings), x)

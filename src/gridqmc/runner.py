@@ -97,8 +97,10 @@ def run_analysis(config: PipelineConfig) -> RunReport:
 
     results: dict[str, EstimationResult] = {}
     exact_value = None
-    if "exact" in an.methods:
+    if "exact" in an.methods or "cmc" in an.methods:
+        # one enumeration serves the exact result and the Monte Carlo budget
         exact = exact_line_distribution(h_row, distributions)
+    if "exact" in an.methods:
         exact_value = exact.metric(an.metric, threshold)
         results["exact"] = EstimationResult(
             method="exact", raw_a=exact_value, metric_value=exact_value,
@@ -125,7 +127,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
     if "cmc" in an.methods:
         results["cmc"] = classical_mc(
             h_row, distributions, an.metric, an.epsilon, an.alpha,
-            rng_seed=an.seed + 1, threshold=threshold,
+            rng_seed=an.seed + 1, threshold=threshold, exact=exact,
         )
 
     sample_ratio = None

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from gridqmc import (
     InjectionDistribution,
+    builtin_config_path,
     classical_mc,
     exact_line_distribution,
+    load_config,
     required_samples,
 )
 from gridqmc.classical import _critical_value
 from gridqmc.errors import EnumerationBoundError
+from gridqmc.runner import _analysis_inputs
 from tests.conftest import FORECAST_PROBS, random_distribution
 
 
@@ -50,6 +53,24 @@ def enumerate_states(h_row, dists, tol=1e-9):
     return values, probs, mean, math.sqrt(((values - mean) ** 2) @ probs)
 
 
+def stable_sort_reference(h_row, dists, tol=1e-9):
+    """The oracle's enumeration with a stable argsort: equal loadings keep
+    their enumeration order, so every level sums its mass in that order."""
+    loading, mass = np.zeros(1), np.ones(1)
+    for h, d in zip(h_row, dists):
+        loading = np.add.outer(loading, h * d.values_mw).ravel()
+        mass = np.multiply.outer(mass, d.probabilities).ravel()
+    keep = mass > 0.0
+    loading = np.abs(loading[keep])
+    order = np.argsort(loading, kind="stable")
+    loading, mass = loading[order], mass[keep][order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > tol) + 1))
+    probs = np.add.reduceat(mass, starts)
+    values = np.add.reduceat(loading * mass, starts) / probs
+    mean = float(values @ probs)
+    return values, probs, mean, math.sqrt(max(float(((values - mean) ** 2) @ probs), 0.0))
+
+
 @st.composite
 def tied_grids(draw):
     """At most 10 qubits; h in multiples of 0.1 on integer MW levels ties
@@ -76,6 +97,16 @@ class TestExactDistribution:
         assert np.allclose(ex.probabilities, probs, rtol=0, atol=1e-12)
         assert ex.mean == pytest.approx(mean, rel=0, abs=1e-12)
         assert ex.std == pytest.approx(std, rel=0, abs=1e-12)
+
+    @given(tied_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stable_sort_reference(self, grid):
+        h_row, dists = grid
+        ex = exact_line_distribution(h_row, dists)
+        values, probs, mean, std = stable_sort_reference(h_row, dists)
+        assert np.array_equal(ex.values, values)
+        assert np.array_equal(ex.probabilities, probs)
+        assert (ex.mean, ex.std) == (mean, std)
 
     def test_bound_checked_before_enumerating(self):
         # 2^21 joint states: one enumerated array alone would take 16 MiB
@@ -187,6 +218,23 @@ class TestClassicalMc:
         assert exact_line_distribution([0.3], [dist]).overload_probability(0.9) == pytest.approx(0.4)
         res = classical_mc([0.3], [dist], "overload", 0.01, 0.05, rng_seed=0, threshold=0.9)
         assert res.ci_low <= 0.4 <= res.ci_high
+
+    @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
+    @pytest.mark.parametrize("metric", ["mean", "overload"])
+    def test_given_distribution_equals_own_enumeration(self, name, metric):
+        h_row, dists = _analysis_inputs(load_config(builtin_config_path(name)))
+        exact = exact_line_distribution(h_row, dists)
+        args = (h_row, dists, metric, 0.01, 0.05)
+        kwargs = dict(rng_seed=4, threshold=0.9 if metric == "overload" else None)
+        assert classical_mc(*args, **kwargs, exact=exact) == classical_mc(*args, **kwargs)
+
+    def test_given_distribution_threshold_on_level(self):
+        dist = InjectionDistribution(bus=1, values_mw=[0, 1, 2, 3], probabilities=[0.1, 0.2, 0.3, 0.4])
+        exact = exact_line_distribution([0.3], [dist])
+        args = ([0.3], [dist], "overload", 0.01, 0.05)
+        alone = classical_mc(*args, rng_seed=0, threshold=0.9)
+        assert classical_mc(*args, rng_seed=0, threshold=0.9, exact=exact) == alone
+        assert alone.ci_low <= 0.4 <= alone.ci_high
 
     def test_seed_reproducibility(self):
         dists = [forecast(1), forecast(2)]

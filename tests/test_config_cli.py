@@ -133,6 +133,31 @@ class TestRunAnalysis:
         assert res.ci_low <= 0.4 <= res.ci_high
         assert report.coverage["iqae"]
 
+    @pytest.mark.parametrize("methods", [("exact", "cmc"), ("cmc",), ("iqae", "cmc", "exact")])
+    def test_enumerates_once(self, methods, three_bus_config, monkeypatch):
+        import dataclasses
+
+        import gridqmc.classical
+        import gridqmc.runner
+
+        calls = []
+        enumerate_states = gridqmc.classical.exact_line_distribution
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_states(*args, **kwargs)
+
+        # classical_mc enumerates through its own module's name when not given the result
+        monkeypatch.setattr(gridqmc.runner, "exact_line_distribution", counting)
+        monkeypatch.setattr(gridqmc.classical, "exact_line_distribution", counting)
+        cfg = dataclasses.replace(
+            three_bus_config,
+            analysis=dataclasses.replace(three_bus_config.analysis, methods=methods),
+        )
+        report = run_analysis(cfg)
+        assert len(calls) == 1
+        assert report.results["cmc"].shots_total == 8454
+
     def test_report_deterministic(self, three_bus_config):
         r1 = run_analysis(three_bus_config).to_json()
         r2 = run_analysis(three_bus_config).to_json()
@@ -209,6 +234,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "0"), ("--alpha", "-0.1"), ("--alpha", "1"), ("--epsilon", "0"), ("--epsilon", "nan"),
+        ("--seed", "-1"),
     ])
     def test_run_refuses_out_of_range_setting(self, flag, value, capsys):
         code = main(["run", "--config", str(builtin_config_path("three_bus")),
@@ -218,11 +244,27 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
+        ("seed", -1), ("epsilon", 0.3), ("epsilon", 0.25),
     ])
     def test_validate_refuses_out_of_range_setting(self, key, value, tmp_path, capsys):
         path = write_config(tmp_path, lambda raw: raw["analysis"].update({key: value}))
         assert main(["validate", "--config", str(path)]) == 2
         assert f"analysis.{key}" in capsys.readouterr().err
+
+    def test_histogram_refuses_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["histogram", "--config", str(builtin_config_path("three_bus")),
+                     "--stage", "psi", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "analysis.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_epsilon_allowed_without_iqae(self, tmp_path):
+        path = write_config(
+            tmp_path, lambda raw: raw["analysis"].update(epsilon=0.3, methods=["exact", "cmc"])
+        )
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_histogram_refuses_degenerate_stage_v(self, tmp_path, capsys):
         def mutate(raw):
