@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError, EnumerationBoundError
 from .estimation import EstimationResult
@@ -90,7 +90,7 @@ def _critical_value(alpha: float) -> float:
     # 1.96 pinned for the standard 95% interval; tables are quoted with it
     if abs(alpha - 0.05) < 1e-12:
         return 1.96
-    return float(special.ndtri(1 - alpha / 2))
+    return NormalDist().inv_cdf(1 - alpha / 2)
 
 
 def required_samples(sigma_n: float, epsilon: float, alpha: float) -> int:

@@ -6,7 +6,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -49,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
+def _overrides(args) -> dict:
+    """The ``analysis`` fields set on the command line."""
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -58,17 +58,14 @@ def _apply_overrides(config, args):
     if getattr(args, "alpha", None) is not None:
         updates["alpha"] = args.alpha
     if getattr(args, "methods", None):
-        updates["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not updates:
-        return config
-    analysis = dataclasses.replace(config.analysis, **updates)
-    return dataclasses.replace(config, analysis=analysis)
+        updates["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    return updates
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config, _overrides(args))
         if args.command == "validate":
             print(f"{args.config}: OK")
             return EXIT_OK

@@ -92,8 +92,12 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate a JSON configuration file."""
+def load_config(path: str | Path, analysis_overrides: dict | None = None) -> PipelineConfig:
+    """Parse and validate a JSON configuration file.
+
+    ``analysis_overrides`` replace fields of the file's ``analysis`` section
+    before anything is validated, so the study is checked as it will run.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -101,6 +105,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    if analysis_overrides and isinstance(raw, dict) and isinstance(raw.get("analysis"), dict):
+        raw["analysis"].update(analysis_overrides)
     return parse_config(raw, source=str(path))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError, EstimationFailureError
 from .flowmap import PipelineOperator, PipelineUnitary
@@ -30,6 +30,12 @@ from .simulator import (
 )
 
 _PHASE_CHECK_TOL = 1e-8
+
+#: a binomial tail sum stops once a term adds less than this share of the total
+_TAIL_SUM_EPS = 1e-17
+#: the quantile solve stops once a step moves the logit by at most this
+_LOGIT_STEP_TOL = 1e-9
+_MAX_QUANTILE_STEPS = 100
 
 #: :func:`iqae` accepts half-widths epsilon in (0, IQAE_MAX_EPSILON)
 IQAE_MAX_EPSILON = 0.25
@@ -158,11 +164,83 @@ def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
     return op
 
 
+def _ratio_sum(k: int, n: int, odds: float) -> float:
+    """``sum_{j >= k} P[X = j] / P[X = k]`` for X ~ Binomial(n, x), odds = x / (1 - x).
+
+    Stops once a term is negligible, which is exact where the terms only
+    shrink, i.e. for k >= n x.
+    """
+    term = total = 1.0
+    for j in range(k, n):
+        term *= (n - j) / (j + 1) * odds
+        total += term
+        if term < _TAIL_SUM_EPS * total:
+            break
+    return total
+
+
+def _upper_tail_logit(k: int, n: int, q: float) -> float:
+    """Logit of the x with ``P[X >= k] = q`` for X ~ Binomial(n, x); 1 <= k <= n, q < 1/2.
+
+    That x is the q-quantile of Beta(k, n - k + 1), i.e. the inverse of the
+    regularized incomplete beta function, I_x(k, n - k + 1) = q.  Halley
+    steps on g(s) = log(P[X >= k] / q) in the logit s = log(x / (1 - x)),
+    where g is concave and nearly linear at both ends, start from the normal
+    approximation of Abramowitz & Stegun 26.5.22.  The tail is summed from
+    whichever side is the smaller, so it keeps its relative precision.
+    """
+    a, b = k, n - k + 1
+    z = -NormalDist().inv_cdf(q)
+    lam = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = z * math.sqrt(h + lam) / h - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (
+        lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
+    )
+    s = math.log(a / b) - 2.0 * w
+    log_comb = math.log(math.comb(n, k))
+    log_q = math.log(q)
+    for _ in range(_MAX_QUANTILE_STEPS):
+        # x, log x and log(1 - x) from the logit without cancellation
+        e = math.exp(-abs(s))
+        log1p_e = math.log1p(e)
+        if s >= 0:
+            x, odds, log_x, log_y = 1.0 / (1.0 + e), 1.0 / e, -log1p_e, -s - log1p_e
+        else:
+            x, odds, log_x, log_y = e / (1.0 + e), e, s - log1p_e, -log1p_e
+        pmf = math.exp(log_comb + k * log_x + (n - k) * log_y)
+        if k >= n * x:
+            tail = pmf * _ratio_sum(k, n, odds)
+        else:  # one minus the lower tail P[X <= k - 1], summed downwards from k
+            tail = 1.0 - pmf * (_ratio_sum(n - k, n, 1.0 / odds) - 1.0)
+        g = math.log(tail) - log_q
+        # g' = (d tail/ds) / tail with d tail/ds = k pmf (1 - x), and g''/g' = k - (n + 1) x - g'
+        slope = k * pmf * (1.0 - x) / tail
+        u = g / slope
+        step = u / (1.0 - 0.5 * min(1.0, u * (k - (n + 1) * x - slope)))
+        s -= step
+        if abs(step) <= _LOGIT_STEP_TOL:
+            return s
+    raise EstimationFailureError(f"binomial quantile for k={k}, n={n}, q={q} did not converge")
+
+
+def _expit(s: float) -> float:
+    """1 / (1 + exp(-s)) without overflow."""
+    if s >= 0:
+        return 1.0 / (1.0 + math.exp(-s))
+    e = math.exp(s)
+    return e / (1.0 + e)
+
+
 def _clopper_pearson(one_counts: int, shots: int, alpha: float) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval."""
+    """Exact two-sided binomial confidence interval.
+
+    The endpoints are the beta quantiles I^-1_{alpha/2}(k, n - k + 1) and
+    I^-1_{1-alpha/2}(k + 1, n - k); the upper one is found as one minus the
+    lower endpoint of the complementary count n - k.
+    """
     k, n = one_counts, shots
-    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
-    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
+    lo = 0.0 if k == 0 else _expit(_upper_tail_logit(k, n, alpha / 2))
+    hi = 1.0 if k == n else _expit(-_upper_tail_logit(n - k, n, alpha / 2))
     return lo, hi
 
 
@@ -239,7 +317,8 @@ def iqae(
             round_shots = 0
             round_ones = 0
 
-        p_good = probability_of(state, g.good_state_index)
+        # a certain event can come out a few ulps above 1
+        p_good = min(probability_of(state, g.good_state_index), 1.0)
         ones = int(rng.binomial(shots_per_round, p_good))
         shots_total += shots_per_round
         oracle_applications += shots_per_round * (2 * k + 1)

@@ -85,12 +85,17 @@ class LineLevels:
     ``labels[c]`` is the index into ``distinct_values`` (absolute loading,
     fraction of rating) reached by joint state ``c``; ``row_norms[k]`` is
     the square root of the number of joint states on level ``k``.
+    ``mass[k]`` is the probability of level ``k`` and ``mass_loading[k]``
+    the probability-weighted sum of its states' loadings; zero-probability
+    states add nothing to either, whatever their loading.
     """
 
     line: str
     distinct_values: np.ndarray
     labels: np.ndarray
     row_norms: np.ndarray
+    mass: np.ndarray
+    mass_loading: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -118,14 +123,22 @@ def line_levels(
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
 
-    loading = np.array([0.0])
+    loading, prob = np.array([0.0]), np.ones(1)
     for h, dist in zip(h_row, distributions):
         loading = kron_sum(loading, h * dist.values_mw)
+        prob = np.multiply.outer(prob, dist.probabilities).ravel()
     loading = np.abs(loading)
 
     distinct, labels = group_values(loading)
-    row_norms = np.sqrt(np.bincount(labels, minlength=len(distinct)).astype(float))
-    return LineLevels(line=line, distinct_values=distinct, labels=labels, row_norms=row_norms)
+    r = len(distinct)
+    return LineLevels(
+        line=line,
+        distinct_values=distinct,
+        labels=labels,
+        row_norms=np.sqrt(np.bincount(labels, minlength=r).astype(float)),
+        mass=np.bincount(labels, weights=prob, minlength=r),
+        mass_loading=np.bincount(labels, weights=prob * loading, minlength=r),
+    )
 
 
 @dataclass(frozen=True)
@@ -214,18 +227,24 @@ class EstimatorVector:
     the overload metric it is an indicator of the level reaching the
     threshold.  Row norms are folded back in so the un-normalized map is
     effectively applied.  ``scaling`` converts the final amplitude into
-    physical units.
+    physical units.  ``level_metric`` is every level's share of the metric,
+    taken from its states of positive probability only.
     """
 
     metric: str
     threshold: float | None
     v: np.ndarray
     scaling: float
+    level_metric: np.ndarray
 
     @property
     def is_degenerate(self) -> bool:
-        """True when no level carries weight; the metric is exactly zero."""
-        return not np.any(self.v)
+        """True when no level adds to the metric; the metric is exactly zero.
+
+        Decided from probability mass, not from ``v``: a level that only
+        zero-probability states reach carries weight but adds nothing.
+        """
+        return not np.any(self.level_metric)
 
 
 def build_estimator_vector(
@@ -242,16 +261,20 @@ def build_estimator_vector(
     v = np.zeros(dim)
     if metric == "mean":
         v[: levels.n_rows] = levels.distinct_values * levels.row_norms
+        level_metric = levels.mass_loading
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")
         over = levels.distinct_values >= threshold - THRESHOLD_TOL
         v[: levels.n_rows] = np.where(over, levels.row_norms, 0.0)
+        level_metric = np.where(over, levels.mass, 0.0)
     else:
         raise ConfigurationError(f"unknown metric {metric!r}")
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
     scaling = float(np.linalg.norm(v)) * prod_norms
-    return EstimatorVector(metric=metric, threshold=threshold, v=v, scaling=scaling)
+    return EstimatorVector(
+        metric=metric, threshold=threshold, v=v, scaling=scaling, level_metric=level_metric
+    )
 
 
 def _householder_vector(v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -164,8 +164,8 @@ class TestRequiredSamples:
         from scipy import stats
 
         assert _critical_value(0.05) == 1.96
-        for alpha in (0.1, 0.01):
-            assert _critical_value(alpha) == stats.norm.ppf(1 - alpha / 2)
+        for alpha in (0.1, 0.01, 0.05 / 7, 1e-4):
+            assert _critical_value(alpha) == pytest.approx(stats.norm.ppf(1 - alpha / 2), rel=1e-15)
 
     @given(
         st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.001, 0.1), st.floats(0.001, 0.1)

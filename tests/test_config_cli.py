@@ -8,16 +8,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridqmc
 from gridqmc import (
     ConfigurationError,
     builtin_config_path,
+    exact_line_distribution,
     export_histogram,
     load_config,
     run_analysis,
 )
 from gridqmc.cli import main
+from gridqmc.config import parse_config
+from gridqmc.flowmap import line_levels
+from gridqmc.runner import _analysis_inputs
 from tests.conftest import ring_study
 
 
@@ -81,7 +87,92 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.json")
 
 
+@st.composite
+def tied_chain_studies(draw):
+    """A radial chain with the slack at one end and zero-probability bins.
+
+    The monitored line carries every injection beyond it, so the rated row is
+    0 or -1/rating per bus, and integer MW levels tie loadings, exactly or
+    within a few ulps.
+    """
+    n_buses = draw(st.integers(1, 5))
+    injections = []
+    for bus in range(2, n_buses + 2):
+        n_bins = 2 ** draw(st.integers(1, 2))
+        values = draw(st.lists(st.integers(-4, 4), min_size=n_bins, max_size=n_bins, unique=True))
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n_bins, max_size=n_bins).filter(any)))
+        injections.append({"bus": bus, "values_mw": sorted(values),
+                           "probabilities": (weights / weights.sum()).tolist()})
+    monitored = draw(st.integers(1, n_buses))
+    lines = [
+        {"id": f"{i}-{i + 1}", "from_bus": i, "to_bus": i + 1, "susceptance_pu": 1.0,
+         "rating_mw": draw(st.sampled_from([1.0, 2.0, 10 / 3, 5.0])) if i == monitored else 1.0}
+        for i in range(1, n_buses + 1)
+    ]
+    metric = draw(st.sampled_from(["mean", "overload"]))
+    return {
+        "network": {"buses": list(range(1, n_buses + 2)), "slack_bus": 1, "lines": lines},
+        "injections": injections,
+        "analysis": {"line": f"{monitored}-{monitored + 1}", "metric": metric,
+                     "threshold_pct": draw(st.integers(1, 150)), "methods": ["iqae", "exact"]},
+    }
+
+
 class TestRunAnalysis:
+    @given(tied_chain_studies())
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_exactly_when_exact_metric_is_zero(self, raw):
+        config = parse_config(raw)
+        report = run_analysis(config)
+        res = report.results["iqae"]
+        assert (res.shots_total == 0) == (report.exact_value == 0.0)
+        if res.shots_total == 0:
+            assert (res.metric_value, res.ci_low, res.ci_high) == (0.0, 0.0, 0.0)
+        # the levels of positive mass are the oracle's levels
+        h_row, dists = _analysis_inputs(config)
+        levels = line_levels(h_row, dists)
+        exact = exact_line_distribution(h_row, dists)
+        live = levels.mass > 0
+        assert live.sum() == len(exact.values)
+        assert np.allclose(levels.distinct_values[live], exact.values, rtol=0, atol=1e-9)
+        assert np.allclose(levels.mass[live], exact.probabilities, rtol=0, atol=1e-12)
+
+    def test_certain_overload(self):
+        # every loading exceeds 1% of the rating: the good-state probability is 1 up to rounding
+        raw = {
+            "network": {
+                "buses": [1, 2, 3],
+                "slack_bus": 1,
+                "lines": [{"id": "1-2", "from_bus": 1, "to_bus": 2, "susceptance_pu": 1.0, "rating_mw": 1.0},
+                          {"id": "2-3", "from_bus": 2, "to_bus": 3, "susceptance_pu": 1.0, "rating_mw": 1.0}],
+            },
+            "injections": [{"bus": 2, "values_mw": [0, 1], "probabilities": [0.5, 0.5]},
+                           {"bus": 3, "values_mw": [1, 2], "probabilities": [0.5, 0.5]}],
+            "analysis": {"line": "1-2", "metric": "overload", "threshold_pct": 1,
+                         "methods": ["iqae", "exact"]},
+        }
+        report = run_analysis(parse_config(raw))
+        assert report.exact_value == 1.0
+        assert report.coverage["iqae"]
+
+    def test_zero_mass_levels_are_degenerate(self):
+        # the levels 0.6 and 0.9 reach the threshold but have no mass
+        raw = {
+            "network": {
+                "buses": [1, 2],
+                "slack_bus": 2,
+                "lines": [{"id": "1-2", "from_bus": 1, "to_bus": 2, "susceptance_pu": 1.0,
+                           "rating_mw": 10 / 3}],
+            },
+            "injections": [{"bus": 1, "values_mw": [0, 1, 2, 3], "probabilities": [0.5, 0.5, 0, 0]}],
+            "analysis": {"line": "1-2", "metric": "overload", "threshold_pct": 60,
+                         "methods": ["iqae", "exact"]},
+        }
+        report = run_analysis(parse_config(raw))
+        assert report.exact_value == 0.0
+        res = report.results["iqae"]
+        assert (res.metric_value, res.shots_total, res.oracle_applications) == (0.0, 0, 0)
+
     def test_exact_only(self, three_bus_config):
         import dataclasses
 
@@ -266,6 +357,17 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 0
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
+    def test_overrides_validated_with_the_study(self, tmp_path, capsys):
+        # epsilon 0.3 is invalid only with iqae, which the command line removes
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(epsilon=0.3))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "analysis.epsilon" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(path), "--methods", "exact,cmc", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["results"]) == {"exact", "cmc"}
+        assert report["config"]["epsilon"] == 0.3
+
     def test_histogram_refuses_degenerate_stage_v(self, tmp_path, capsys):
         def mutate(raw):
             # every loading stays below the 149% threshold
@@ -326,6 +428,16 @@ class TestCli:
 class TestPackageSurface:
     def test_cli_import_leaves_out_scipy_stats(self):
         code = "import sys, gridqmc.cli; assert 'scipy.stats' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(gridqmc.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_out_scipy(self):
+        code = (
+            "import sys, gridqmc.cli; "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(gridqmc.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

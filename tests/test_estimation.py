@@ -80,14 +80,33 @@ class TestClopperPearson:
         assert lo < 0.37 < hi
 
     def test_equals_beta_quantiles(self):
+        # scipy is the test-only reference; the runtime solves the quantile itself
         from scipy import stats
 
-        for shots in (1, 2, 7, 100, 1000, 3000):
-            for ones in sorted({0, 1, shots // 3, shots // 2, shots - 1, shots}):
-                for alpha in (0.1, 0.05, 0.01, 0.05 / 7, 1e-4):
+        for shots in (1, 2, 7, 60, 100, 101, 200, 300, 1000, 3000, 5000):
+            picks = {0, 1, 2, shots // 3, shots // 2, shots - 2, shots - 1, shots}
+            for ones in sorted(k for k in picks if 0 <= k <= shots):
+                for alpha in (0.5, 0.1, 0.05, 0.01, 0.05 / 7, 1e-4):
                     lo = 0.0 if ones == 0 else stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
                     hi = 1.0 if ones == shots else stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
-                    assert _clopper_pearson(ones, shots, alpha) == (lo, hi)
+                    got = _clopper_pearson(ones, shots, alpha)
+                    assert got == pytest.approx((lo, hi), rel=1e-10, abs=0.0), (ones, shots, alpha)
+
+    def test_endpoints_solve_binomial_tails(self):
+        # independent of any library: P[X >= k | lo] = P[X <= k | hi] = alpha / 2
+        def pmf(j, n, x):
+            return math.comb(n, j) * x**j * (1 - x) ** (n - j)
+
+        for shots in range(1, 61):
+            for ones in range(shots + 1):
+                for alpha in (0.1, 0.05, 0.01, 1e-4):
+                    lo, hi = _clopper_pearson(ones, shots, alpha)
+                    if ones > 0:
+                        upper = math.fsum(pmf(j, shots, lo) for j in range(ones, shots + 1))
+                        assert abs(upper - alpha / 2) <= 1e-12, (ones, shots, alpha)
+                    if ones < shots:
+                        lower = math.fsum(pmf(j, shots, hi) for j in range(ones + 1))
+                        assert abs(lower - alpha / 2) <= 1e-12, (ones, shots, alpha)
 
 
 class TestFindNextK:

@@ -227,10 +227,13 @@ class TestHouseholder:
 
 class TestPipeline:
     def test_point_mass_at_zero_gives_zero_metric(self):
-        # all probability sits on the zero-loading bin, so the mean vanishes
-        pipe, _, est = build_line_pipeline([1.0], [point_mass(1, 0)], "mean")
-        amp = apply(pipe.a, zero_state(2)).amplitudes[pipe.good_state_index].real
-        assert amp * est.scaling == pytest.approx(0.0, abs=1e-12)
+        # all probability sits on the zero-loading bin, so the mean vanishes:
+        # the levels 1..3 carry weight but no mass, and nothing is estimated
+        pipe, lf, est = build_line_pipeline([1.0], [point_mass(1, 0)], "mean")
+        assert pipe is None
+        assert est.is_degenerate
+        assert np.any(est.v)
+        assert np.array_equal(lf.mass, [1.0, 0.0, 0.0, 0.0])
 
     def test_overload_above_all_values_is_degenerate(self):
         pipe, _, est = build_line_pipeline(
