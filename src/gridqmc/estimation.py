@@ -20,14 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
 from .flowmap import PipelineOperator, PipelineUnitary
-from .simulator import (
-    StateVector,
-    UnitaryMatrix,
-    apply,
-    probability_of,
-    probe_unitary,
-    zero_state,
-)
+from .simulator import StateVector, UnitaryMatrix, probability_of, probe_unitary
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -41,26 +34,58 @@ _MAX_QUANTILE_STEPS = 100
 IQAE_MAX_EPSILON = 0.25
 
 
+class _GroverSteps:
+    """What :func:`iqae` needs of an amplification operator for the target state.
+
+    A subclass provides ``prepared``, A|0>, ``step``, one application of
+    Q = A S0 A^T Sg, and ``good_state_index``.
+    """
+
+    @property
+    def theta(self) -> float:
+        """Rotation angle, amplitude = sin(theta)."""
+        amp = self.prepared[self.good_state_index]
+        return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
+
+    def amplified_state(self, k: int, start: StateVector | None = None) -> StateVector:
+        """Apply k Grover steps to (a continuation of) the prepared state."""
+        x = self.prepared if start is None else start.amplitudes
+        for _ in range(k):
+            x = self.step(x)
+        return StateVector(len(x).bit_length() - 1, x)
+
+
 @dataclass(frozen=True)
-class GroverOperator:
-    """Amplification operator for the all-ones target state."""
+class GroverOperator(_GroverSteps):
+    """Amplification operator as a dense unitary; the small-n oracle."""
 
     q: UnitaryMatrix
     a_op: PipelineUnitary
     good_state_index: int
 
     @property
-    def theta(self) -> float:
-        """Rotation angle, amplitude = sin(theta)."""
-        amp = self.a_op.a.entries[self.good_state_index, 0]
-        return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
+    def prepared(self) -> np.ndarray:
+        return self.a_op.a.entries[:, 0]
 
-    def amplified_state(self, k: int, start: StateVector | None = None) -> StateVector:
-        """Apply k Grover steps to (a continuation of) the prepared state."""
-        state = start if start is not None else apply(self.a_op.a, zero_state(self.a_op.a.n_qubits))
-        for _ in range(k):
-            state = apply(self.q, state)
-        return state
+    def step(self, x: np.ndarray) -> np.ndarray:
+        return self.q.entries @ x
+
+
+@dataclass(frozen=True)
+class GroverIterate(_GroverSteps):
+    """Amplification operator applied as calls to a structured pipeline operator."""
+
+    a_op: PipelineOperator
+    good_state_index: int
+    prepared: np.ndarray  # A|0>
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Q x = A S0 A^T Sg x; each phase flip negates one amplitude."""
+        y = x.copy()
+        y[self.good_state_index] = -y[self.good_state_index]
+        y = self.a_op.apply_adjoint(y)
+        y[0] = -y[0]
+        return self.a_op.apply(y)
 
 
 @dataclass(frozen=True)
@@ -88,45 +113,6 @@ class EstimationResult:
             raise ConfigurationError("estimate must lie inside its confidence interval")
 
 
-@dataclass(frozen=True)
-class GroverIterate:
-    """Amplification operator applied as calls to a structured pipeline operator.
-
-    Offers what :func:`iqae` needs of a :class:`GroverOperator`,
-    ``amplified_state`` and ``good_state_index``, without a dense matrix.
-    """
-
-    a_op: PipelineOperator
-    good_state_index: int
-    prepared: np.ndarray  # A|0>, real
-
-    @property
-    def theta(self) -> float:
-        """Rotation angle, amplitude = sin(theta)."""
-        amp = self.prepared[self.good_state_index]
-        return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Q x = A S0 A^T Sg x; each phase flip negates one amplitude."""
-        y = x.copy()
-        y[self.good_state_index] = -y[self.good_state_index]
-        y = self.a_op.apply_adjoint(y)
-        y[0] = -y[0]
-        return self.a_op.apply(y)
-
-    def amplified_state(self, k: int, start: StateVector | None = None) -> StateVector:
-        """Apply k Grover steps to (a continuation of) the prepared state."""
-        x = self.prepared
-        if start is not None:
-            x = start.amplitudes
-            if np.any(x.imag):
-                raise ConfigurationError("the structured Grover iterate acts on real states")
-            x = x.real
-        for _ in range(k):
-            x = self.step(x)
-        return StateVector(self.a_op.n_qubits, x)
-
-
 def _check_rotation(op: GroverOperator | GroverIterate) -> None:
     """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
     theta = op.theta
@@ -150,7 +136,7 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
     s0[0, 0] = -1.0
     sg = np.eye(dim)
     sg[a.good_state_index, a.good_state_index] = -1.0
-    q = amat @ s0 @ amat.conj().T @ sg
+    q = amat @ s0 @ amat.T @ sg
     op = GroverOperator(q=UnitaryMatrix(q), a_op=a, good_state_index=a.good_state_index)
     _check_rotation(op)
     return op
@@ -266,7 +252,7 @@ def _find_next_k(k: int, upper_half: bool, theta_interval: tuple[float, float]) 
 
 
 def iqae(
-    g: GroverOperator,
+    g: GroverOperator | GroverIterate,
     epsilon: float,
     alpha: float,
     shots_per_round: int = 100,

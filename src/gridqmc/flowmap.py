@@ -13,7 +13,7 @@ per-bus state-prep reflections, one reflection per loading level plus a
 permutation for the unitary completion of the map (:class:`LevelCompletion`),
 and the rank-1 metric reflection.  The dense builders (:func:`build_line_map`,
 :func:`unitary_factorize`, :func:`assemble_pipeline`) materialize the same
-factors as matrices; they serve the histogram stages and act as the small-n
+factors as matrices; they serve histogram stage V and act as the small-n
 oracle.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .injection import (
     reflect_axes,
     state_prep_unitary,
 )
-from .simulator import MAX_QUBITS, UnitaryMatrix, probe_unitary
+from .simulator import MAX_QUBITS, UnitaryMatrix, householder, probe_unitary, reflection_unitary
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
@@ -156,10 +156,11 @@ class LineFlowMap(LineLevels):
 def _dense_path_bytes(n_rows: int, n_columns: int) -> int:
     """Lower bound on the memory the dense path holds at once.
 
-    The float64 map and its orthonormalized copy, plus one complex
-    ``n_columns`` x ``n_columns`` operator of the completion.
+    The float64 map and its orthonormalized copy, plus two float64
+    ``n_columns`` x ``n_columns`` operators: a factor of the completion and
+    the residual of its orthogonality check.
     """
-    return 2 * 8 * n_rows * n_columns + 16 * n_columns * n_columns
+    return 2 * 8 * n_rows * n_columns + 2 * 8 * n_columns * n_columns
 
 
 def build_line_map(
@@ -226,9 +227,11 @@ class EstimatorVector:
     For the mean metric the weight of each level is the level itself; for
     the overload metric it is an indicator of the level reaching the
     threshold.  Row norms are folded back in so the un-normalized map is
-    effectively applied.  ``scaling`` converts the final amplitude into
-    physical units.  ``level_metric`` is every level's share of the metric,
-    taken from its states of positive probability only.
+    effectively applied.  A level of zero probability gets no weight: its
+    amplitude is zero, and a weight would only shrink the estimated
+    amplitude.  ``scaling`` converts the final amplitude into physical
+    units.  ``level_metric`` is every level's share of the metric, taken
+    from its states of positive probability only.
     """
 
     metric: str
@@ -241,8 +244,10 @@ class EstimatorVector:
     def is_degenerate(self) -> bool:
         """True when no level adds to the metric; the metric is exactly zero.
 
-        Decided from probability mass, not from ``v``: a level that only
-        zero-probability states reach carries weight but adds nothing.
+        Decided from probability mass, not from ``v``: a level's value
+        averages all its states, zero-probability ones included, so a level
+        whose states of positive probability load the line by exactly zero
+        can keep a weight of a few ulps.
         """
         return not np.any(self.level_metric)
 
@@ -258,18 +263,19 @@ def build_estimator_vector(
     dim = 2**n_qubits
     if levels.n_columns != dim:
         raise ConfigurationError("flow map does not match the qubit count")
-    v = np.zeros(dim)
     if metric == "mean":
-        v[: levels.n_rows] = levels.distinct_values * levels.row_norms
+        weight = levels.distinct_values * levels.row_norms
         level_metric = levels.mass_loading
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")
         over = levels.distinct_values >= threshold - THRESHOLD_TOL
-        v[: levels.n_rows] = np.where(over, levels.row_norms, 0.0)
+        weight = np.where(over, levels.row_norms, 0.0)
         level_metric = np.where(over, levels.mass, 0.0)
     else:
         raise ConfigurationError(f"unknown metric {metric!r}")
+    v = np.zeros(dim)
+    v[: levels.n_rows] = np.where(levels.mass > 0, weight, 0.0)
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
     scaling = float(np.linalg.norm(v)) * prod_norms
     return EstimatorVector(
@@ -277,15 +283,13 @@ def build_estimator_vector(
     )
 
 
-def _householder_vector(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(w, ||w||^2)`` of the reflection taking the last axis to ``v / ||v||``."""
+def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(w, gain)`` of the :func:`householder` taking the last axis to ``v / ||v||``."""
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ConfigurationError("householder vector must be non-zero")
-    w = v / norm
-    w[-1] -= 1.0
-    return w, float(w @ w)
+    return householder(v / norm, -1)
 
 
 def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
@@ -295,10 +299,7 @@ def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
     state after applying it equals the normalized inner product with ``v``.
     Returns the identity when ``v`` already points along the last axis.
     """
-    w, wnorm2 = _householder_vector(v)
-    if wnorm2 < 1e-24:
-        return UnitaryMatrix(np.eye(len(w)))
-    return UnitaryMatrix(np.eye(len(w)) - 2.0 * np.outer(w, w) / wnorm2)
+    return reflection_unitary(*_metric_reflection(v))
 
 
 @dataclass(frozen=True)
@@ -491,12 +492,12 @@ def build_pipeline_operator(
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator
-    h_vector, wnorm2 = _householder_vector(estimator.v)
+    h_vector, h_gain = _metric_reflection(estimator.v)
     op = PipelineOperator(
         prep=prep_reflections(encodings),
         completion=LevelCompletion.from_levels(levels),
         h_vector=h_vector,
-        h_gain=0.0 if wnorm2 < 1e-24 else 2.0 / wnorm2,
+        h_gain=h_gain,
         good_state_index=2**n_qubits - 1,
         scaling=estimator.scaling,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import StateVector, UnitaryMatrix
+from .simulator import StateVector, UnitaryMatrix, householder, reflection_unitary
 
 _PROB_SUM_TOL = 1e-9
 
@@ -92,13 +92,6 @@ def joint_state(encodings: list[EncodedInjection]) -> StateVector:
     return StateVector(n, amps)
 
 
-def _prep_vector(encoding: EncodedInjection) -> tuple[np.ndarray, float]:
-    """``(w, ||w||^2)`` of the reflection taking the all-zero state to the amplitudes."""
-    w = encoding.amplitudes.copy()
-    w[0] -= 1.0
-    return w, float(w @ w)
-
-
 def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     """Unitary whose first column is the amplitude vector.
 
@@ -106,20 +99,12 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     amplitude vector; reduces to the identity when the vector already is
     that basis state.
     """
-    w, wnorm2 = _prep_vector(encoding)
-    n = len(w)
-    if wnorm2 < 1e-24:
-        return UnitaryMatrix(np.eye(n))
-    return UnitaryMatrix(np.eye(n) - 2.0 * np.outer(w, w) / wnorm2)
+    return reflection_unitary(*householder(encoding.amplitudes, 0))
 
 
 def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[tuple[np.ndarray, float], ...]:
-    """Per bus ``(w, 2 / ||w||^2)`` of :func:`state_prep_unitary`; the gain is zero for the identity."""
-    reflections = []
-    for enc in encodings:
-        w, wnorm2 = _prep_vector(enc)
-        reflections.append((w, 0.0 if wnorm2 < 1e-24 else 2.0 / wnorm2))
-    return tuple(reflections)
+    """Per bus the :func:`householder` ``(w, gain)`` of :func:`state_prep_unitary`."""
+    return tuple(householder(enc.amplitudes, 0) for enc in encodings)
 
 
 def reflect_axes(reflections: Sequence[tuple[np.ndarray, float]], x: np.ndarray) -> np.ndarray:

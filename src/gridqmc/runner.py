@@ -5,19 +5,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
-from .flowmap import (
-    build_line_map,
-    build_line_pipeline,
-    build_pipeline_operator,
-    unitary_factorize,
-)
+from .flowmap import LevelCompletion, build_line_pipeline, build_pipeline_operator, line_levels
 from .grid import build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, apply, sample_counts, zero_state
@@ -155,9 +148,11 @@ def run_analysis(config: PipelineConfig) -> RunReport:
 def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     """Statevector after the requested pipeline stage for the configured line.
 
-    Stages L and V go through the dense builders, whose completion is the
-    materialized :class:`~gridqmc.flowmap.LevelCompletion`: the amplitudes
-    equal those of the structured operator.
+    Stage L applies the structured :class:`~gridqmc.flowmap.LevelCompletion`
+    to the joint state and forms no matrix, so it runs up to
+    ``MAX_QUBITS``.  Stage V goes through the dense builders, bounded by
+    ``DENSE_BUDGET_BYTES``; its amplitudes equal those of the structured
+    operator to rounding.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
@@ -167,9 +162,9 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         return joint_state([encode(d) for d in distributions])
     if stage == "L":
         # flow map applied to the joint state, estimator reflection omitted
-        fact = unitary_factorize(build_line_map(h_row, distributions, line=an.line))
-        prep = joint_state([encode(d) for d in distributions])
-        return apply(fact.u_padded, apply(fact.v_h, prep))
+        psi = joint_state([encode(d) for d in distributions])
+        completion = LevelCompletion.from_levels(line_levels(h_row, distributions, line=an.line))
+        return StateVector(psi.n_qubits, completion.apply(psi.amplitudes))
     threshold = an.threshold_fraction if an.metric == "overload" else None
     pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
     if pipeline is None:

@@ -1,9 +1,10 @@
 """Minimal statevector simulator.
 
-Supports exactly what the pipeline needs: applying dense unitaries, checking
-matrix-free operators, reading exact basis-state probabilities and drawing
-seeded measurement shots.  Everything is immutable; no gates, no noise, no
-hardware backends.
+Supports exactly what the pipeline needs: Householder reflections, applying
+dense unitaries, checking matrix-free operators, reading exact basis-state
+probabilities and drawing seeded measurement shots.  Every operator the
+pipeline builds is real orthogonal, so amplitudes are float64.  Everything
+is immutable; no gates, no noise, no hardware backends.
 """
 from __future__ import annotations
 
@@ -20,18 +21,28 @@ _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-10
 _PROBE_COUNT = 3
 _PROBE_SEED = 20231003
+#: a reflection vector with a smaller squared norm stands for the identity
+_IDENTITY_NORM2 = 1e-24
+
+
+def _frozen_real(values) -> np.ndarray:
+    """Read-only float64 copy of ``values``; input that is not real is refused, not cast."""
+    if not np.isrealobj(values):
+        raise ConfigurationError("amplitudes must be real")
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure n-qubit state as a complex amplitude vector of length 2**n."""
+    """Pure n-qubit state as a real amplitude vector of length 2**n."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
+        amps = _frozen_real(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if self.n_qubits > MAX_QUBITS:
             raise ConfigurationError(f"at most {MAX_QUBITS} qubits supported")
@@ -45,25 +56,24 @@ class StateVector:
         return 2**self.n_qubits
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return self.amplitudes**2
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense unitary operator on n qubits, checked at construction."""
+    """Dense real orthogonal operator on n qubits, checked at construction."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        mat.setflags(write=False)
+        mat = _frozen_real(self.entries)
         object.__setattr__(self, "entries", mat)
         n, m = mat.shape
         if n != m or n & (n - 1) != 0:
             raise ConfigurationError("unitary must be square with power-of-two dimension")
         if n > 2**MAX_QUBITS:
             raise ConfigurationError(f"at most {MAX_QUBITS} qubits supported")
-        residual = np.max(np.abs(mat.conj().T @ mat - np.eye(n)))
+        residual = np.max(np.abs(mat.T @ mat - np.eye(n)))
         if residual > _UNITARY_TOL * n:
             raise ConfigurationError(f"matrix is not unitary (residual {residual:.2e})")
 
@@ -74,6 +84,23 @@ class UnitaryMatrix:
     @property
     def n_qubits(self) -> int:
         return int(self.entries.shape[0]).bit_length() - 1
+
+
+def householder(u: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
+    """Householder reflection ``I - gain w w^T`` swapping ``e_axis`` and the unit vector ``u``.
+
+    Returns ``(w, gain)`` with ``w = u - e_axis`` and ``gain = 2 / ||w||^2``;
+    the gain is zero, the identity, when ``u`` already is that basis state.
+    """
+    w = np.array(u, dtype=float)
+    w[axis] -= 1.0
+    wnorm2 = float(w @ w)
+    return w, 0.0 if wnorm2 < _IDENTITY_NORM2 else 2.0 / wnorm2
+
+
+def reflection_unitary(w: np.ndarray, gain: float) -> UnitaryMatrix:
+    """Dense form ``I - gain w w^T`` of a :func:`householder` reflection."""
+    return UnitaryMatrix(np.eye(len(w)) - gain * np.outer(w, w))
 
 
 def probe_unitary(
@@ -116,7 +143,7 @@ def probability_of(s: StateVector, basis_index: int) -> float:
     """Exact probability of measuring one computational basis state."""
     if not 0 <= basis_index < s.dim:
         raise ConfigurationError(f"basis index {basis_index} out of range")
-    return float(np.abs(s.amplitudes[basis_index]) ** 2)
+    return float(s.amplitudes[basis_index] ** 2)
 
 
 def sample_counts(s: StateVector, shots: int, rng_seed: int) -> np.ndarray:

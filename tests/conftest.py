@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridqmc import InjectionDistribution, Line, Network, builtin_config_path, load_config
+from gridqmc.config import parse_config
 
 FORECAST_PROBS = [0.08, 0.43, 0.42, 0.07]
 
@@ -77,3 +78,10 @@ def ring_study(n_buses: int, seed: int = 0) -> dict:
         "injections": injections,
         "analysis": {"line": "1-2", "metric": "mean", "methods": ["iqae", "exact"], "seed": 5},
     }
+
+
+def nine_qubit_ring():
+    """Ring study with four 4-bin buses and one 2-bin bus."""
+    raw = ring_study(5, seed=4)
+    raw["injections"][-1].update(values_mw=[-1, 2], probabilities=[0.3, 0.7])
+    return parse_config(raw)

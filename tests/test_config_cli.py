@@ -409,9 +409,14 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert set(json.loads(out.read_text())["results"]) == {"iqae", "exact"}
-        # the dense stage-L map alone would take GiBs: refused before allocation
-        code = main(["histogram", "--config", str(path), "--stage", "L",
-                     "--out", str(tmp_path / "h.csv")])
+        # stage L is structured and writes every basis state
+        hist = tmp_path / "h.csv"
+        assert main(["histogram", "--config", str(path), "--stage", "L", "--out", str(hist)]) == 0
+        assert len(hist.read_text().splitlines()) == 1 + 2**16
+        # the dense stage-V operators alone would take GiBs: refused before allocation
+        capsys.readouterr()
+        code = main(["histogram", "--config", str(path), "--stage", "V",
+                     "--out", str(tmp_path / "v.csv")])
         assert code == 2
         assert "budget" in capsys.readouterr().err
 

@@ -17,8 +17,10 @@ from gridqmc import (
     unitary_factorize,
     zero_state,
 )
+from gridqmc.config import parse_config
 from gridqmc.flowmap import assemble_pipeline, group_values
 from gridqmc.injection import state_prep_unitary
+from gridqmc.runner import run_analysis
 from tests.conftest import random_distribution, synthetic_grid
 
 
@@ -228,12 +230,32 @@ class TestHouseholder:
 class TestPipeline:
     def test_point_mass_at_zero_gives_zero_metric(self):
         # all probability sits on the zero-loading bin, so the mean vanishes:
-        # the levels 1..3 carry weight but no mass, and nothing is estimated
+        # the levels 1..3 have no mass and no weight, and nothing is estimated
         pipe, lf, est = build_line_pipeline([1.0], [point_mass(1, 0)], "mean")
         assert pipe is None
         assert est.is_degenerate
-        assert np.any(est.v)
+        assert not np.any(est.v)
         assert np.array_equal(lf.mass, [1.0, 0.0, 0.0, 0.0])
+
+    def test_zero_mass_levels_leave_the_estimate_unchanged(self):
+        # levels 0.6 and 0.9 are reached only by zero-probability bins; weighted,
+        # they would shrink the amplitude from 1/2 to 1/6 and cost IQAE shots
+        def study(values, probs):
+            return parse_config({
+                "network": {"buses": [1, 2], "slack_bus": 1, "lines": [
+                    {"id": "1-2", "from_bus": 1, "to_bus": 2,
+                     "susceptance_pu": 1.0, "rating_mw": 10 / 3}]},
+                "injections": [{"bus": 2, "values_mw": values, "probabilities": probs}],
+                "analysis": {"line": "1-2", "metric": "overload", "threshold_pct": 30,
+                             "methods": ["iqae", "exact"]},
+            })
+
+        padded = run_analysis(study([0, 1, 2, 3], [0.5, 0.5, 0, 0])).results["iqae"]
+        compact = run_analysis(study([0, 1], [0.5, 0.5])).results["iqae"]
+        assert padded == compact
+        dist = InjectionDistribution(bus=2, values_mw=[0, 1, 2, 3], probabilities=[0.5, 0.5, 0, 0])
+        _, _, est = build_line_pipeline([0.3], [dist], "overload", threshold=0.3)
+        assert np.array_equal(est.v, [0, 1, 0, 0])
 
     def test_overload_above_all_values_is_degenerate(self):
         pipe, _, est = build_line_pipeline(

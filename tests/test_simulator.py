@@ -34,6 +34,18 @@ class TestStateVector:
         with pytest.raises(ConfigurationError):
             StateVector(21, np.zeros(2**21))
 
+    def test_real_amplitudes(self):
+        assert StateVector(1, [0, 1]).amplitudes.dtype == np.float64
+        with pytest.raises(ConfigurationError, match="real"):
+            StateVector(1, np.array([1.0, 0.0], dtype=complex))
+
+    def test_caller_array_left_writable(self):
+        amps = np.array([1.0, 0.0])
+        state = StateVector(1, amps)
+        assert amps.flags.writeable and not state.amplitudes.flags.writeable
+        amps[:] = [0.0, 1.0]
+        assert np.array_equal(state.amplitudes, [1.0, 0.0])
+
 
 class TestUnitary:
     def test_non_unitary_rejected(self):
@@ -43,6 +55,16 @@ class TestUnitary:
     def test_non_square_power_of_two(self):
         with pytest.raises(ConfigurationError):
             UnitaryMatrix(np.eye(3))
+
+    def test_real_entries(self):
+        assert UnitaryMatrix(np.eye(2, dtype=int)).entries.dtype == np.float64
+        with pytest.raises(ConfigurationError, match="real"):
+            UnitaryMatrix(np.eye(2, dtype=complex))
+
+    def test_caller_array_left_writable(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u = UnitaryMatrix(swap)
+        assert swap.flags.writeable and not u.entries.flags.writeable
 
 
 class TestApply:

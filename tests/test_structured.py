@@ -12,6 +12,7 @@ from gridqmc import (
     InjectionDistribution,
     apply,
     build_grover,
+    build_line_map,
     build_line_pipeline,
     builtin_config_path,
     encode,
@@ -21,15 +22,15 @@ from gridqmc import (
     load_config,
     probability_of,
     state_prep_unitary,
+    unitary_factorize,
     zero_state,
 )
-from gridqmc.config import parse_config
 from gridqmc.estimation import build_grover_iterate
-from gridqmc.flowmap import LevelCompletion, build_pipeline_operator, line_levels
+from gridqmc.flowmap import build_pipeline_operator
 from gridqmc.injection import apply_state_prep
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
-from tests.conftest import ring_study, synthetic_grid
+from tests.conftest import nine_qubit_ring, synthetic_grid
 
 
 def materialize(op, dim):
@@ -74,13 +75,6 @@ def test_bundled_studies_match_dense(name, metric):
     check_against_dense(h_row, dists, metric, cfg.analysis.threshold_fraction)
 
 
-def nine_qubit_ring():
-    """Ring study with four 4-bin buses and one 2-bin bus."""
-    raw = ring_study(5, seed=4)
-    raw["injections"][-1].update(values_mw=[-1, 2], probabilities=[0.3, 0.7])
-    return parse_config(raw)
-
-
 @pytest.mark.parametrize("study", ["three_bus", "five_bus", "nine_qubit_ring"])
 @pytest.mark.parametrize("metric", ["mean", "overload"])
 def test_dense_stages_equal_structured_path(study, metric):
@@ -89,9 +83,9 @@ def test_dense_stages_equal_structured_path(study, metric):
         cfg, analysis=dataclasses.replace(cfg.analysis, metric=metric, threshold_pct=40.0)
     )
     h_row, dists = _analysis_inputs(cfg)
-    psi = joint_state([encode(d) for d in dists]).amplitudes.real
-    completion = LevelCompletion.from_levels(line_levels(h_row, dists))
-    assert np.max(np.abs(stage_state(cfg, "L").amplitudes - completion.apply(psi))) < 1e-12
+    fact = unitary_factorize(build_line_map(h_row, dists))
+    dense_l = apply(fact.u_padded, apply(fact.v_h, joint_state([encode(d) for d in dists])))
+    assert np.max(np.abs(stage_state(cfg, "L").amplitudes - dense_l.amplitudes)) < 1e-12
 
     threshold = cfg.analysis.threshold_fraction if metric == "overload" else None
     op, _, _ = build_pipeline_operator(h_row, dists, metric, threshold)
@@ -137,7 +131,7 @@ def test_state_prep_matches_kronecker_product():
     encs = [encode(d) for d in dists]
     dense = np.eye(1)
     for enc in encs:
-        dense = np.kron(dense, state_prep_unitary(enc).entries.real)
+        dense = np.kron(dense, state_prep_unitary(enc).entries)
     got = materialize(lambda x: apply_state_prep(encs, x), 16)
     assert np.max(np.abs(got - dense)) < 1e-12
 
