@@ -7,6 +7,7 @@ are explicit in the field names (``_mw``, ``_pu``, ``_pct``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,8 +38,8 @@ class AnalysisSettings:
             raise ConfigurationError("analysis.threshold_pct: must lie in (0, 150]")
         if not 0 < self.alpha < 1:
             raise ConfigurationError("analysis.alpha: must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ConfigurationError("analysis.epsilon: must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigurationError("analysis.epsilon: must be positive and finite")
         if not self.shots_per_round >= 1:
             raise ConfigurationError("analysis.shots_per_round: must be at least 1")
         if not self.seed >= 0:
@@ -84,6 +85,15 @@ class PipelineConfig:
         """Injections in network bus order, slack excluded."""
         by_bus = {inj.bus: inj for inj in self.injections}
         return [by_bus[b] for b in self.network.non_slack_buses]
+
+
+def _integer(value, path: str) -> int:
+    """``value`` as an int; a fraction, a bool or a non-number is refused, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{path}: must be an integer, got {value!r}")
+    return value
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -142,15 +152,18 @@ def parse_config(raw: dict, source: str = "") -> PipelineConfig:
         )
 
     an_raw = _require(raw, "analysis", "$")
+    methods = an_raw.get("methods", list(VALID_METHODS))
+    if not isinstance(methods, (list, tuple)):
+        raise ConfigurationError(f"analysis.methods: must be a list of method names, got {methods!r}")
     analysis = AnalysisSettings(
         line=str(_require(an_raw, "line", "$.analysis")),
         metric=an_raw.get("metric", "mean"),
         threshold_pct=float(an_raw.get("threshold_pct", 90.0)),
         epsilon=float(an_raw.get("epsilon", 0.01)),
         alpha=float(an_raw.get("alpha", 0.05)),
-        methods=tuple(an_raw.get("methods", list(VALID_METHODS))),
-        shots_per_round=int(an_raw.get("shots_per_round", 100)),
-        seed=int(an_raw.get("seed", 0)),
+        methods=tuple(methods),
+        shots_per_round=_integer(an_raw.get("shots_per_round", 100), "analysis.shots_per_round"),
+        seed=_integer(an_raw.get("seed", 0), "analysis.seed"),
     )
     return PipelineConfig(network=network, injections=tuple(injections), analysis=analysis, source=source)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -47,11 +48,18 @@ class _GroverSteps:
         amp = self.prepared[self.good_state_index]
         return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
 
-    def amplified_state(self, k: int, start: StateVector | None = None) -> StateVector:
-        """Apply k Grover steps to (a continuation of) the prepared state."""
-        x = self.prepared if start is None else start.amplitudes
-        for _ in range(k):
+    def amplified_state(self, k: int) -> StateVector:
+        """Q^k A|0>, stepped on from the highest power computed so far if that is at most k.
+
+        IQAE thus repeats no step of the rotation check or of its own earlier rounds.
+        """
+        highest = self.__dict__.get("_highest", (0, self.prepared))
+        done, x = highest if highest[0] <= k else (0, self.prepared)
+        for _ in range(k - done):
             x = self.step(x)
+        if k >= highest[0]:
+            # kept beside the fields of the frozen dataclass, as cached_property does
+            self.__dict__["_highest"] = (k, x)
         return StateVector(len(x).bit_length() - 1, x)
 
 
@@ -77,10 +85,14 @@ class GroverIterate(_GroverSteps):
 
     a_op: PipelineOperator
     good_state_index: int
-    prepared: np.ndarray  # A|0>
+
+    @cached_property
+    def prepared(self) -> np.ndarray:
+        """A|0>, computed on first use."""
+        return self.a_op.prepared()
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Q x = A S0 A^T Sg x; each phase flip negates one amplitude."""
+        """Q x = A S0 A^T Sg x for a vector or each column of a block; each phase flip negates one row."""
         y = x.copy()
         y[self.good_state_index] = -y[self.good_state_index]
         y = self.a_op.apply_adjoint(y)
@@ -116,10 +128,8 @@ class EstimationResult:
 def _check_rotation(op: GroverOperator | GroverIterate) -> None:
     """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
     theta = op.theta
-    state = op.amplified_state(0)
     for k in range(3):
-        if k > 0:
-            state = op.amplified_state(1, start=state)
+        state = op.amplified_state(k)
         expected = math.sin((2 * k + 1) * theta) ** 2
         got = probability_of(state, op.good_state_index)
         if abs(got - expected) > _PHASE_CHECK_TOL:
@@ -143,8 +153,8 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
-    """Structured Grover iterate, probed for unitarity and the rotation identity."""
-    op = GroverIterate(a_op=a, good_state_index=a.good_state_index, prepared=a.prepared())
+    """Structured Grover iterate, probed for unitarity (before A|0> is held) and the rotation identity."""
+    op = GroverIterate(a_op=a, good_state_index=a.good_state_index)
     probe_unitary(op.step, a.dim)
     _check_rotation(op)
     return op
@@ -282,8 +292,7 @@ def iqae(
     a_l, a_u = 0.0, 1.0
     upper_half = True
     k = 0
-    prepared = g.amplified_state(0)
-    state = prepared
+    state = g.amplified_state(0)
     shots_total = 0
     oracle_applications = 0
     round_shots = 0
@@ -298,7 +307,7 @@ def iqae(
         rounds += 1
         k_next, upper_half = _find_next_k(k, upper_half, (theta_l, theta_u))
         if k_next != k:
-            state = g.amplified_state(k_next - k, start=state)
+            state = g.amplified_state(k_next)
             k = k_next
             round_shots = 0
             round_ones = 0

@@ -58,12 +58,12 @@ def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.outer(a, b).ravel()
 
 
-def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster a value vector into distinct levels within an absolute tolerance.
 
-    Returns (sorted distinct levels, index of each input value's level).
-    Values are chained: a new level starts where the sorted gap exceeds
-    ``VALUE_GROUP_TOL``.
+    Returns (sorted distinct levels, index of each input value's level,
+    smallest input index on each level).  Values are chained: a new level
+    starts where the sorted gap exceeds ``VALUE_GROUP_TOL``.
     """
     order = np.argsort(values)
     ordered = values[order]
@@ -75,7 +75,7 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct = np.add.reduceat(ordered, starts) / sizes
     for k in np.flatnonzero(sizes > 2):
         distinct[k] = ordered[starts[k] : starts[k] + sizes[k]].mean()
-    return distinct, labels
+    return distinct, labels, np.minimum.reduceat(order, starts)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ class LineLevels:
     """Distinct loading levels of one line and the level of every joint state.
 
     ``labels[c]`` is the index into ``distinct_values`` (absolute loading,
-    fraction of rating) reached by joint state ``c``; ``row_norms[k]`` is
-    the square root of the number of joint states on level ``k``.
+    fraction of rating) reached by joint state ``c`` and ``first[k]`` the
+    smallest joint state on level ``k``; ``row_norms[k]`` is the square
+    root of the number of joint states on level ``k``.
     ``mass[k]`` is the probability of level ``k`` and ``mass_loading[k]``
     the probability-weighted sum of its states' loadings; zero-probability
     states add nothing to either, whatever their loading.
@@ -93,6 +94,7 @@ class LineLevels:
     line: str
     distinct_values: np.ndarray
     labels: np.ndarray
+    first: np.ndarray
     row_norms: np.ndarray
     mass: np.ndarray
     mass_loading: np.ndarray
@@ -129,12 +131,13 @@ def line_levels(
         prob = np.multiply.outer(prob, dist.probabilities).ravel()
     loading = np.abs(loading)
 
-    distinct, labels = group_values(loading)
+    distinct, labels, first = group_values(loading)
     r = len(distinct)
     return LineLevels(
         line=line,
         distinct_values=distinct,
         labels=labels,
+        first=first,
         row_norms=np.sqrt(np.bincount(labels, minlength=r).astype(float)),
         mass=np.bincount(labels, weights=prob, minlength=r),
         mass_loading=np.bincount(labels, weights=prob * loading, minlength=r),
@@ -216,7 +219,7 @@ def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
     completion = LevelCompletion.from_levels(lf_map)
     return UnitaryFactorization(
         v_h=UnitaryMatrix(completion.reflection_matrix()),
-        u_padded=UnitaryMatrix(np.eye(lf_map.n_columns)[completion.order]),
+        u_padded=UnitaryMatrix(completion.permute(np.eye(lf_map.n_columns))),
     )
 
 
@@ -360,8 +363,11 @@ def build_line_pipeline(
 
 
 def _reflect(x: np.ndarray, w: np.ndarray, coef: float) -> np.ndarray:
-    """Rank-1 reflection ``(I - coef * w w^T) x``."""
-    return x - (coef * (w @ x)) * w
+    """Rank-1 reflection ``(I - coef * w w^T) x`` in place, on a vector or on each column of a block."""
+    beta = coef * (w @ x)
+    for column, b in zip(x.reshape(len(x), -1).T, beta.reshape(-1)):
+        column -= b * w
+    return x
 
 
 @dataclass(frozen=True)
@@ -373,53 +379,81 @@ class LevelCompletion:
     first states to indices 0..r-1 and keeps the others, in order, after
     them.  Row k of C is therefore row k of the orthonormalized map, because
     the levels have disjoint supports.  :func:`unitary_factorize` is its
-    dense form.
+    dense form.  A level of one state reflects nothing, so R keeps only the
+    levels of more than one state.  Every method takes a vector of length
+    ``dim`` or a ``(dim, m)`` block, whose columns are transformed alike.
     """
 
-    labels: np.ndarray
-    inv_sqrt: np.ndarray  # 1/sqrt(level size)
-    gain: np.ndarray  # 2 / ||w_k||^2, zero for single-state levels
-    first: np.ndarray  # first joint state of every level
-    order: np.ndarray  # (C x)[j] = (R x)[order[j]]
+    first: np.ndarray  # first joint state of every level, shared with LineLevels
+    rest: np.ndarray  # the other joint states, in index order
+    members: np.ndarray  # states of the reflected levels, in index order
+    level: np.ndarray  # reflected level of every member
+    heads: np.ndarray  # first state of every reflected level
+    inv_sqrt: np.ndarray  # 1/sqrt(level size), per reflected level
+    gain: np.ndarray  # 2 / ||w_k||^2, per reflected level
 
     @classmethod
     def from_levels(cls, levels: LineLevels) -> "LevelCompletion":
-        labels = levels.labels
-        n = len(labels)
-        first = np.unique(labels, return_index=True)[1]
-        inv_sqrt = 1.0 / levels.row_norms
-        # ||e_first - uniform||^2 = 2 - 2/sqrt(size)
-        wnorm2 = 2.0 - 2.0 * inv_sqrt
-        gain = np.divide(2.0, wnorm2, out=np.zeros_like(wnorm2), where=levels.row_norms > 1)
-        rest = np.ones(n, dtype=bool)
-        rest[first] = False
-        order = np.concatenate((first, np.flatnonzero(rest)))
-        return cls(labels=labels, inv_sqrt=inv_sqrt, gain=gain, first=first, order=order)
+        reflected = levels.row_norms > 1
+        members = np.flatnonzero(reflected[levels.labels])
+        inv_sqrt = 1.0 / levels.row_norms[reflected]
+        rest = np.ones(levels.n_columns, dtype=bool)
+        rest[levels.first] = False
+        return cls(
+            first=levels.first,
+            rest=np.flatnonzero(rest),
+            members=members,
+            level=(np.cumsum(reflected) - 1)[levels.labels[members]],
+            heads=levels.first[reflected],
+            inv_sqrt=inv_sqrt,
+            # ||e_first - uniform||^2 = 2 - 2/sqrt(size)
+            gain=2.0 / (2.0 - 2.0 * inv_sqrt),
+        )
 
-    def _reflect_levels(self, x: np.ndarray) -> np.ndarray:
-        # per level: w = e_first - uniform, R x = x - gain * (w . x) w
-        sums = np.bincount(self.labels, weights=x, minlength=len(self.first))
-        dots = x[self.first] - sums * self.inv_sqrt
-        beta = self.gain * dots
-        y = x + (beta * self.inv_sqrt)[self.labels]
-        y[self.first] -= beta
+    def reflect(self, y: np.ndarray) -> np.ndarray:
+        """R y, in place; R is symmetric, so this is also its adjoint."""
+        if not len(self.members):
+            return y
+        # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
+        # bincount over (level, column) pairs sums each level in index order
+        cols = y.reshape(len(y), -1)
+        m = cols.shape[1]
+        bins = (self.level[:, None] * m + np.arange(m)).ravel()
+        sums = np.bincount(bins, weights=cols[self.members].ravel(), minlength=len(self.gain) * m)
+        dots = cols[self.heads] - sums.reshape(-1, m) * self.inv_sqrt[:, None]
+        beta = self.gain[:, None] * dots
+        cols[self.members] += (beta * self.inv_sqrt[:, None])[self.level]
+        cols[self.heads] -= beta
+        return y
+
+    def permute(self, y: np.ndarray) -> np.ndarray:
+        """P y into a new array; ``take`` in mode "clip" writes straight into it."""
+        out, r = np.empty(y.shape), len(self.first)
+        y.take(self.first, axis=0, out=out[:r], mode="clip")
+        y.take(self.rest, axis=0, out=out[r:], mode="clip")
+        return out
+
+    def unpermute(self, x: np.ndarray) -> np.ndarray:
+        """P^T x into a new array."""
+        y, r = np.empty(np.shape(x)), len(self.first)
+        y[self.first], y[self.rest] = x[:r], x[r:]
         return y
 
     def reflection_matrix(self) -> np.ndarray:
-        """R as a dense matrix, exactly symmetric: ``I - gain_k w_k w_k^T`` per level."""
-        w = -self.inv_sqrt[self.labels]
-        w[self.first] += 1.0
-        s = np.sqrt(self.gain)[self.labels] * w
-        same_level = self.labels[:, None] == self.labels[None, :]
-        return np.eye(len(w)) - same_level * np.outer(s, s)
+        """R as a dense matrix, exactly symmetric: ``I - gain_k w_k w_k^T`` per reflected level."""
+        w = -self.inv_sqrt[self.level]
+        w[np.searchsorted(self.members, self.heads)] += 1.0
+        s = np.sqrt(self.gain)[self.level] * w
+        r = np.eye(len(self.first) + len(self.rest))
+        same_level = self.level[:, None] == self.level[None, :]
+        r[np.ix_(self.members, self.members)] -= same_level * np.outer(s, s)
+        return r
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._reflect_levels(x)[self.order]
+        return self.permute(self.reflect(np.array(x, dtype=float)))
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        y[self.order] = x
-        return self._reflect_levels(y)
+        return self.reflect(self.unpermute(x))
 
 
 @dataclass(frozen=True)
@@ -431,9 +465,12 @@ class PipelineOperator:
     :class:`LevelCompletion` and ``H`` the rank-1 metric reflection.  Same
     contract as :class:`PipelineUnitary`: the amplitude of
     ``good_state_index`` in ``A|0>`` is the metric on the amplitude scale.
+    ``apply`` and ``apply_adjoint`` take a vector or a ``(dim, m)`` block of
+    columns and leave it unchanged; C reflects only levels of more than one
+    state.
     """
 
-    prep: tuple[tuple[np.ndarray, float], ...]
+    prep: tuple[tuple[np.ndarray, float, np.ndarray], ...]
     completion: LevelCompletion
     h_vector: np.ndarray
     h_gain: float
@@ -449,16 +486,17 @@ class PipelineOperator:
         return len(self.h_vector)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for a real vector x of length ``dim``."""
+        """A x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
         self._check_length(x)
-        y = self.completion.apply(reflect_axes(self.prep, x))
+        y = self.completion.reflect(reflect_axes(self.prep, np.array(x, dtype=float, order="C")))
+        y = self.completion.permute(y)  # rebinding frees the unpermuted copy
         return _reflect(y, self.h_vector, self.h_gain)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """A^T x; every factor but the permutation is symmetric."""
         self._check_length(x)
-        y = self.completion.apply_adjoint(_reflect(x, self.h_vector, self.h_gain))
-        return reflect_axes(self.prep, y)
+        y = self.completion.unpermute(_reflect(np.array(x, dtype=float), self.h_vector, self.h_gain))
+        return reflect_axes(self.prep, self.completion.reflect(y))
 
     def _check_length(self, x: np.ndarray) -> None:
         if len(x) != self.dim:

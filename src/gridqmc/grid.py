@@ -7,6 +7,7 @@ by the line MW ratings so that downstream results are loading fractions
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,10 +32,10 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ConfigurationError(f"line {self.label} is a self loop")
-        if not self.susceptance > 0:
-            raise ConfigurationError(f"line {self.label}: susceptance must be > 0")
-        if not self.rating_mw > 0:
-            raise ConfigurationError(f"line {self.label}: rating_mw must be > 0")
+        if not 0 < self.susceptance < math.inf:
+            raise ConfigurationError(f"line {self.label}: susceptance must be finite and > 0")
+        if not 0 < self.rating_mw < math.inf:
+            raise ConfigurationError(f"line {self.label}: rating_mw must be finite and > 0")
 
     @property
     def label(self) -> str:

@@ -16,6 +16,9 @@ from .errors import ConfigurationError
 from .simulator import StateVector, UnitaryMatrix, householder, reflection_unitary
 
 _PROB_SUM_TOL = 1e-9
+#: :func:`reflect_axes` updates a bus axis in slices whose temporary holds at most
+#: this many elements, or 1/k of its input where that is more
+_UPDATE_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,10 @@ class InjectionDistribution:
             raise ConfigurationError(f"bus {self.bus}: number of levels must be a power of two")
         if len(probs) != n:
             raise ConfigurationError(f"bus {self.bus}: values and probabilities differ in length")
+        # NaN passes every comparison below, so finiteness comes first
+        for name, arr in (("values_mw", values), ("probabilities", probs)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"bus {self.bus}: {name} must be finite")
         if np.any(np.diff(values) <= 0):
             raise ConfigurationError(f"bus {self.bus}: values_mw must be strictly increasing")
         if np.any(probs < 0) or np.any(probs > 1):
@@ -102,28 +109,34 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     return reflection_unitary(*householder(encoding.amplitudes, 0))
 
 
-def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[tuple[np.ndarray, float], ...]:
-    """Per bus the :func:`householder` ``(w, gain)`` of :func:`state_prep_unitary`."""
-    return tuple(householder(enc.amplitudes, 0) for enc in encodings)
+def prep_reflections(
+    encodings: Sequence[EncodedInjection],
+) -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
+    """Per bus the :func:`householder` ``(w, gain)`` of :func:`state_prep_unitary` and ``gain * w`` as a column."""
+    pairs = (householder(enc.amplitudes, 0) for enc in encodings)
+    return tuple((w, gain, gain * w[:, None]) for w, gain in pairs)
 
 
-def reflect_axes(reflections: Sequence[tuple[np.ndarray, float]], x: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of :func:`prep_reflections` to ``x``.
+def reflect_axes(reflections: Sequence[tuple[np.ndarray, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
+    """Apply the Kronecker product of :func:`prep_reflections` to ``y`` in place and return it.
 
-    ``x`` is viewed as one axis per bus, first bus most significant, and
-    each reflection contracts its own axis: O(2^n * sum 2^k) time, no
-    matrix.  The product is symmetric, so this is also its adjoint.  The
-    caller checks that ``len(x)`` is the product of the axis lengths.
+    ``y``, a C-contiguous vector or ``(dim, m)`` block of columns, is viewed
+    as one axis per bus, first bus most significant, and each reflection
+    contracts its own axis: O(2^n * sum 2^k) time, no matrix, and no
+    temporary above ``_UPDATE_ELEMENTS`` or 1/k of ``y``.  The product is
+    symmetric, so this is also its adjoint.  The caller checks that
+    ``len(y)`` is the product of the axis lengths.
     """
-    y = np.array(x, dtype=float)
-    left, right = 1, len(y)
-    for w, gain in reflections:
+    left, right = 1, y.size
+    for w, gain, gw in reflections:
         k = len(w)
         right //= k
         if gain:
             block = y.reshape(left, k, right)
-            dots = np.einsum("lkr,k->lr", block, w)
-            block -= gain * w[None, :, None] * dots[:, None, :]
+            dots = np.einsum("lkr,k->lr", block, w)[:, None]
+            step = max(1, _UPDATE_ELEMENTS // dots.size)
+            for j in range(0, k, step):
+                block[:, j : j + step] -= gw[j : j + step] * dots
         left *= k
     return y
 
@@ -132,4 +145,4 @@ def apply_state_prep(encodings: Sequence[EncodedInjection], x: np.ndarray) -> np
     """Apply the Kronecker product of the per-bus :func:`state_prep_unitary` to ``x``."""
     if len(x) != int(np.prod([len(enc.amplitudes) for enc in encodings])):
         raise ConfigurationError("state length does not match the encodings")
-    return reflect_axes(prep_reflections(encodings), x)
+    return reflect_axes(prep_reflections(encodings), np.array(x, dtype=float, order="C"))

@@ -179,10 +179,9 @@ def export_histogram(
     state = stage_state(config, stage)
     counts = sample_counts(state, shots, seed)
     probs = state.probabilities()
-    n = state.n_qubits
+    row = f"{{:0{state.n_qubits}b}},{{}},{{:.12g}}\n".format
     out = Path(path)
-    lines = ["bitstring,count,exact_probability"]
-    for i in range(state.dim):
-        lines.append(f"{i:0{n}b},{counts[i]},{probs[i]:.12g}")
-    out.write_text("\n".join(lines) + "\n")
+    with out.open("w") as f:
+        f.write("bitstring,count,exact_probability\n")
+        f.writelines(map(row, range(state.dim), counts.tolist(), probs.tolist()))
     return out

@@ -110,20 +110,23 @@ def probe_unitary(
 ) -> None:
     """Check a matrix-free operator on seeded random unit vectors.
 
-    Requires ``||U x|| = ||x||`` and, given the adjoint, ``U^T U x = x``
-    within the unitarity tolerance: a few operator calls in place of the
-    O(dim^3) dense check.
+    The vectors are the columns of one ``(dim, _PROBE_COUNT)`` block, so
+    ``op`` and ``adjoint`` must map a block column by column, as they map a
+    vector.  Requires ``||U x|| = ||x||`` and, given the adjoint,
+    ``U^T U x = x`` for every column within the unitarity tolerance: two
+    operator calls in place of the O(dim^3) dense check.
     """
     rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBE_COUNT):
-        x = rng.standard_normal(dim)
-        x /= np.linalg.norm(x)
-        ux = op(x)
-        residual = abs(np.linalg.norm(ux) - 1.0)
-        if adjoint is not None:
-            residual = max(residual, float(np.max(np.abs(adjoint(ux) - x))))
-        if residual > _UNITARY_TOL:
-            raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
+    x = rng.standard_normal((_PROBE_COUNT, dim))
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    x = x.T  # one probe per column
+    ux = op(x)
+    residual = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->j", ux, ux)) - 1.0)))
+    if adjoint is not None:
+        back = adjoint(ux) - x
+        residual = max(residual, float(np.max(np.abs(back, out=back))))
+    if residual > _UNITARY_TOL:
+        raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -23,8 +23,9 @@ from gridqmc import (
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.flowmap import line_levels
-from gridqmc.runner import _analysis_inputs
-from tests.conftest import ring_study
+from gridqmc.runner import STAGES, _analysis_inputs, stage_state
+from gridqmc.simulator import sample_counts
+from tests.conftest import nine_qubit_ring, ring_study
 
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
@@ -312,6 +313,32 @@ class TestExportHistogram:
         assert np.count_nonzero(probs > 1e-12) == 1
 
 
+def histogram_loop(state, counts):
+    """Reference CSV: the per-row f-string loop over numpy scalars."""
+    probs = state.probabilities()
+    n = state.n_qubits
+    lines = ["bitstring,count,exact_probability"]
+    for i in range(state.dim):
+        lines.append(f"{i:0{n}b},{counts[i]},{probs[i]:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("study, stage", [
+    *[(name, stage) for name in ("three_bus", "five_bus", "nine_qubit_ring") for stage in STAGES],
+    ("sixteen_qubit_ring", "L"),
+])
+def test_histogram_csv_equals_the_row_loop(study, stage, tmp_path):
+    if study == "nine_qubit_ring":
+        cfg = nine_qubit_ring()
+    elif study == "sixteen_qubit_ring":
+        cfg = parse_config(ring_study(8))
+    else:
+        cfg = load_config(builtin_config_path(study))
+    out = export_histogram(cfg, stage, shots=4096, seed=11, path=tmp_path / "h.csv")
+    state = stage_state(cfg, stage)
+    assert out.read_text() == histogram_loop(state, sample_counts(state, 4096, 11))
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert main(["validate", "--config", str(builtin_config_path("three_bus"))]) == 0
@@ -341,6 +368,41 @@ class TestCli:
         path = write_config(tmp_path, lambda raw: raw["analysis"].update({key: value}))
         assert main(["validate", "--config", str(path)]) == 2
         assert f"analysis.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda raw: raw["injections"][1]["probabilities"].__setitem__(2, float("nan")),
+                     "bus 2: probabilities must be finite", id="nan-probability"),
+        pytest.param(lambda raw: raw["injections"][0]["values_mw"].__setitem__(2, float("nan")),
+                     "bus 1: values_mw must be finite", id="nan-level"),
+        pytest.param(lambda raw: raw["injections"][0]["values_mw"].__setitem__(3, float("inf")),
+                     "bus 1: values_mw must be finite", id="infinite-level"),
+        pytest.param(lambda raw: raw["network"]["lines"][2].update(susceptance_pu=float("inf")),
+                     "line 2-3: susceptance must be finite", id="infinite-susceptance"),
+        pytest.param(lambda raw: raw["network"]["lines"][0].update(rating_mw=float("inf")),
+                     "line 1-2: rating_mw must be finite", id="infinite-rating"),
+        pytest.param(lambda raw: raw["analysis"].update(seed=1.7),
+                     "analysis.seed: must be an integer", id="fractional-seed"),
+        pytest.param(lambda raw: raw["analysis"].update(shots_per_round=100.5),
+                     "analysis.shots_per_round: must be an integer", id="fractional-shots"),
+        pytest.param(lambda raw: raw["analysis"].update(methods="exact"),
+                     "analysis.methods: must be a list", id="methods-string"),
+        pytest.param(lambda raw: raw["analysis"].update(epsilon=float("inf"), methods=["exact", "cmc"]),
+                     "analysis.epsilon: must be positive and finite", id="infinite-epsilon"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_refuses_non_finite_or_non_integer_field(self, command, mutate, message, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; the study must still be refused, naming the field
+        path = write_config(tmp_path, mutate)
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "report.json")]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(seed=7.0, shots_per_round=100.0))
+        assert load_config(path).analysis == load_config(builtin_config_path("three_bus")).analysis
 
     def test_histogram_refuses_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "h.csv"

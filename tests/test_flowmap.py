@@ -114,10 +114,11 @@ class TestGroupValues:
             n_levels = int(rng.integers(1, size + 1))
             values = rng.uniform(0, 3, n_levels)[rng.integers(0, n_levels, size)]
             values += rng.uniform(0, 5e-10, size) * rng.integers(0, 2, size)
-            distinct, labels = group_values(values)
+            distinct, labels, first = group_values(values)
             ref_distinct, ref_labels = group_values_loop(values)
             assert np.array_equal(labels, ref_labels)
             assert np.array_equal(distinct, ref_distinct)
+            assert np.array_equal(first, np.unique(labels, return_index=True)[1])
 
 
 class TestOrthonormalize:

@@ -1,6 +1,7 @@
 """The structured pipeline operator against the dense oracle."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from gridqmc import (
     unitary_factorize,
     zero_state,
 )
-from gridqmc.estimation import build_grover_iterate
-from gridqmc.flowmap import build_pipeline_operator
+from gridqmc import estimation
+from gridqmc.estimation import GroverIterate, build_grover_iterate
+from gridqmc.flowmap import LevelCompletion, PipelineOperator, build_pipeline_operator, line_levels
 from gridqmc.injection import apply_state_prep
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
@@ -59,11 +61,8 @@ def check_against_dense(h_row, dists, metric, threshold=None):
 
     dense_grover = build_grover(dense)
     grover = build_grover_iterate(op)
-    dense_state, state = dense_grover.amplified_state(0), grover.amplified_state(0)
     for k in range(6):
-        if k > 0:
-            dense_state = dense_grover.amplified_state(1, start=dense_state)
-            state = grover.amplified_state(1, start=state)
+        dense_state, state = dense_grover.amplified_state(k), grover.amplified_state(k)
         assert abs(probability_of(state, g) - probability_of(dense_state, g)) < 1e-10
 
 
@@ -159,3 +158,107 @@ def test_oversized_study_refused():
     h_row, dists = synthetic_grid(11)
     with pytest.raises(ConfigurationError, match="at most 20"):
         build_pipeline_operator(h_row, dists, "mean")
+
+
+def full_length_completion(levels, x, adjoint=False):
+    """Reference C = P R: every level, single states included, summed by one bincount over all states."""
+    labels = levels.labels
+    first = np.unique(labels, return_index=True)[1]
+    inv_sqrt = 1.0 / levels.row_norms
+    wnorm2 = 2.0 - 2.0 * inv_sqrt
+    gain = np.divide(2.0, wnorm2, out=np.zeros_like(wnorm2), where=levels.row_norms > 1)
+    rest = np.ones(len(labels), dtype=bool)
+    rest[first] = False
+    order = np.concatenate((first, np.flatnonzero(rest)))
+
+    def reflect(v):
+        sums = np.bincount(labels, weights=v, minlength=len(first))
+        beta = gain * (v[first] - sums * inv_sqrt)
+        y = v + (beta * inv_sqrt)[labels]
+        y[first] -= beta
+        return y
+
+    if adjoint:
+        y = np.empty_like(x)
+        y[order] = x
+        return reflect(y)
+    return reflect(x)[order]
+
+
+@given(grids(), st.sampled_from(["mean", "overload"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
+    h_row, dists = grid
+    levels = line_levels(h_row, dists)
+    completion = LevelCompletion.from_levels(levels)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(levels.n_columns)
+    psi = joint_state([encode(d) for d in dists]).amplitudes  # zeros where a bin has no mass
+    for v in (x, psi):
+        assert np.array_equal(completion.apply(v), full_length_completion(levels, v))
+        assert np.array_equal(completion.apply_adjoint(v), full_length_completion(levels, v, adjoint=True))
+
+    block = rng.standard_normal((levels.n_columns, 3))
+    maps = [completion.apply, completion.apply_adjoint]
+    threshold = float(np.median(levels.distinct_values)) if metric == "overload" else None
+    op, _, _ = build_pipeline_operator(h_row, dists, metric, threshold)
+    if op is not None:
+        maps += [op.apply, op.apply_adjoint, build_grover_iterate(op).step]
+    for f in maps:
+        by_column = np.column_stack([f(block[:, j]) for j in range(3)])
+        assert np.max(np.abs(f(block) - by_column)) <= 1e-13
+        assert np.max(np.abs(f(np.asfortranarray(block)) - by_column)) <= 1e-13
+
+
+def test_build_and_grover_set_up_apply_the_operator_nine_times(monkeypatch):
+    h_row, dists = synthetic_grid(4)
+    shapes = {"apply": [], "apply_adjoint": []}
+    for name, calls in shapes.items():
+        method = getattr(PipelineOperator, name)
+        monkeypatch.setattr(PipelineOperator, name,
+                            lambda self, x, _m=method, _c=calls: _c.append(np.shape(x)) or _m(self, x))
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    build_grover_iterate(op)
+    block, vector = (op.dim, 3), (op.dim,)
+    # build: one probe block each way; Grover set-up: one probe block through Q,
+    # then A|0> and the two steps of the rotation check
+    assert shapes["apply"] == [block, block, vector, vector, vector]
+    assert shapes["apply_adjoint"] == [block, block, vector, vector]
+
+
+@pytest.mark.parametrize("n_buses", [3, 4, 5])
+def test_iqae_repeats_no_grover_step(n_buses, monkeypatch):
+    h_row, dists = synthetic_grid(n_buses)
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    g = build_grover_iterate(op)  # its rotation check leaves Q^2 A|0>
+    steps, powers = [], []
+    step, find_next_k = GroverIterate.step, estimation._find_next_k
+    monkeypatch.setattr(GroverIterate, "step", lambda self, x: steps.append(1) or step(self, x))
+    monkeypatch.setattr(estimation, "_find_next_k",
+                        lambda *args: powers.append(find_next_k(*args)[0]) or find_next_k(*args))
+    iqae(g, epsilon=0.01, alpha=0.05)
+    # each new power goes on from the highest one computed, or from A|0> below it
+    expected, highest = 0, 2
+    for k in sorted(set(powers)):
+        expected += k if k < highest else k - highest
+        highest = max(highest, k)
+    assert len(steps) == expected
+
+
+#: tracemalloc peak of this test's body, in MiB, measured on the implementation
+#: that probed with one vector at a time and summed all 2^20 states per level reflection
+FULL_LENGTH_PEAK_MIB = 173.5
+
+
+def test_twenty_qubit_study_within_the_full_length_peak():
+    h_row, dists = synthetic_grid(10)
+    tracemalloc.start()
+    try:
+        op, _, est = build_pipeline_operator(h_row, dists, "mean")
+        res = iqae(build_grover_iterate(op), epsilon=0.01, alpha=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n_qubits == 20
+    assert res.ci_high - res.ci_low <= 0.02
+    assert peak / 2**20 <= FULL_LENGTH_PEAK_MIB
