@@ -12,13 +12,14 @@ import numpy as np
 from gridqmc import (
     apply,
     build_line_pipeline,
+    build_ptdf,
     builtin_config_path,
     export_histogram,
     load_config,
+    rate_scale_ptdf,
     stage_state,
     zero_state,
 )
-from gridqmc.runner import _analysis_inputs
 
 config = load_config(builtin_config_path("three_bus"))
 
@@ -30,7 +31,9 @@ for i, amp in enumerate(psi.amplitudes):
 
 loading_state = stage_state(config, "L")
 print("\nstate |L> after the flow mapping (one row per distinct loading level):")
-h_row, dists = _analysis_inputs(config)
+# rated distribution factors of the monitored line, one per non-slack bus
+h_row = rate_scale_ptdf(build_ptdf(config.network), config.network).row(config.analysis.line)
+dists = config.ordered_injections()
 pipeline, lf_map, estimator = build_line_pipeline(h_row, dists, "mean", line=config.analysis.line)
 for value, amp in zip(lf_map.distinct_values, loading_state.amplitudes):
     print(f"  loading {value:6.4f}  amplitude {amp.real:+.4f}")

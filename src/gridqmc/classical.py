@@ -16,8 +16,8 @@ from .errors import ConfigurationError, EnumerationBoundError
 from .estimation import EstimationResult
 from .flowmap import THRESHOLD_TOL
 from .injection import InjectionDistribution
+from .simulator import MAX_QUBITS
 
-_MAX_ENUM_STATES = 2**20
 _VALUE_TOL = 1e-9
 
 
@@ -54,11 +54,9 @@ def exact_line_distribution(
     h_row = np.asarray(h_row, dtype=float)
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
-    total_states = 1
-    for dist in distributions:
-        total_states *= len(dist.values_mw)
-    if total_states > _MAX_ENUM_STATES:
-        raise EnumerationBoundError(f"{total_states} joint states exceed the enumeration bound")
+    n_qubits = sum(dist.n_qubits for dist in distributions)
+    if n_qubits > MAX_QUBITS:
+        raise EnumerationBoundError(f"{2**n_qubits} joint states exceed the enumeration bound")
 
     # mixed radix over the joint states, first bus most significant
     loading, mass = np.zeros(1), np.ones(1)
@@ -123,23 +121,12 @@ def classical_mc(
     """
     if exact is None:
         exact = exact_line_distribution(h_row, distributions)
-    if metric == "mean":
-        sigma_n = exact.std
-    elif metric == "overload":
-        if threshold is None:
-            raise ConfigurationError("overload metric needs a threshold")
-        p = exact.overload_probability(threshold)
-        sigma_n = math.sqrt(p * (1 - p))
-    else:
-        raise ConfigurationError(f"unknown metric {metric!r}")
+    value = exact.metric(metric, threshold)  # refuses an unknown metric or a missing threshold
+    sigma_n = exact.std if metric == "mean" else math.sqrt(value * (1 - value))  # Bernoulli(value)
 
     n = required_samples(sigma_n, epsilon, alpha)
     if n == 0:
-        value = exact.metric(metric, threshold)
-        return EstimationResult(
-            method="cmc", raw_a=value, metric_value=value, ci_low=value, ci_high=value,
-            shots_total=0, oracle_applications=0, epsilon=epsilon, alpha=alpha, seed=rng_seed,
-        )
+        return EstimationResult.point("cmc", value, epsilon, alpha, rng_seed)
 
     rng = np.random.default_rng(rng_seed)
     h_row = np.asarray(h_row, dtype=float)

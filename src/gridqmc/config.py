@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ class AnalysisSettings:
     threshold_pct: float = 90.0
     epsilon: float = 0.01
     alpha: float = 0.05
-    methods: tuple[str, ...] = ("iqae", "cmc", "exact")
+    methods: tuple[str, ...] = VALID_METHODS
     shots_per_round: int = 100
     seed: int = 0
 
@@ -87,19 +87,65 @@ class PipelineConfig:
         return [by_bus[b] for b in self.network.non_slack_buses]
 
 
+def _typed(value, types, path: str, what: str):
+    """``value`` if it has the JSON type ``what``: a bool is no number, nor is a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigurationError(f"{path}: must be {what}, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    return float(_typed(value, (int, float), path, "a number"))
+
+
 def _integer(value, path: str) -> int:
     """``value`` as an int; a fraction, a bool or a non-number is refused, not truncated."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}: must be an integer, got {value!r}")
-    return value
+    return _typed(value, int, path, "an integer")
 
 
-def _require(mapping: dict, key: str, path: str):
+def _string(value, path: str) -> str:
+    return _typed(value, str, path, "a string")
+
+
+def _list_of(read):
+    """Reader of a JSON list whose every item ``read`` reads."""
+    def read_list(value, path: str) -> list:
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(_typed(value, list, path, "a list"))]
+    return read_list
+
+
+#: how :func:`parse_config` reads an ``analysis`` field, by its annotation in AnalysisSettings
+_ANALYSIS_READERS = {"str": _string, "float": _number, "int": _integer,
+                     "tuple[str, ...]": lambda value, path: tuple(_list_of(_string)(value, path))}
+
+
+def _require(mapping, key: str, path: str, read=lambda value, path: value):
+    """``mapping[key]`` as ``read`` reads it; ``mapping`` must be a JSON object."""
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"{path}: must be an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise ConfigurationError(f"{path}.{key}: missing required field")
-    return mapping[key]
+    return read(mapping[key], f"{path}.{key}")
+
+
+def _line(raw, path: str) -> Line:
+    return Line(
+        from_bus=_require(raw, "from_bus", path, _integer),
+        to_bus=_require(raw, "to_bus", path, _integer),
+        susceptance=_require(raw, "susceptance_pu", path, _number),
+        rating_mw=_require(raw, "rating_mw", path, _number),
+        name=_string(raw.get("id", ""), f"{path}.id"),
+    )
+
+
+def _injection(raw, path: str) -> InjectionDistribution:
+    return InjectionDistribution(
+        bus=_require(raw, "bus", path, _integer),
+        values_mw=_require(raw, "values_mw", path, _list_of(_number)),
+        probabilities=_require(raw, "probabilities", path, _list_of(_number)),
+    )
 
 
 def load_config(path: str | Path, analysis_overrides: dict | None = None) -> PipelineConfig:
@@ -121,49 +167,27 @@ def load_config(path: str | Path, analysis_overrides: dict | None = None) -> Pip
 
 
 def parse_config(raw: dict, source: str = "") -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("top level must be a JSON object")
-    net_raw = _require(raw, "network", "$")
-    lines = []
-    for i, line_raw in enumerate(_require(net_raw, "lines", "$.network")):
-        lines.append(
-            Line(
-                from_bus=_require(line_raw, "from_bus", f"$.network.lines[{i}]"),
-                to_bus=_require(line_raw, "to_bus", f"$.network.lines[{i}]"),
-                susceptance=float(_require(line_raw, "susceptance_pu", f"$.network.lines[{i}]")),
-                rating_mw=float(_require(line_raw, "rating_mw", f"$.network.lines[{i}]")),
-                name=str(line_raw.get("id", "")),
-            )
-        )
-    network = Network(
-        bus_ids=tuple(_require(net_raw, "buses", "$.network")),
-        slack_bus=_require(net_raw, "slack_bus", "$.network"),
-        lines=tuple(lines),
-    )
+    """Read a study's JSON value, every field as its JSON type.
 
-    injections = []
-    for i, inj_raw in enumerate(_require(raw, "injections", "$")):
-        injections.append(
-            InjectionDistribution(
-                bus=_require(inj_raw, "bus", f"$.injections[{i}]"),
-                values_mw=_require(inj_raw, "values_mw", f"$.injections[{i}]"),
-                probabilities=_require(inj_raw, "probabilities", f"$.injections[{i}]"),
-            )
-        )
+    Absent ``analysis`` fields take the defaults of :class:`AnalysisSettings`;
+    keys that are none of its fields are refused.
+    """
+    net_raw = _require(raw, "network", "$")
+    network = Network(
+        bus_ids=tuple(_require(net_raw, "buses", "$.network", _list_of(_integer))),
+        slack_bus=_require(net_raw, "slack_bus", "$.network", _integer),
+        lines=tuple(_require(net_raw, "lines", "$.network", _list_of(_line))),
+    )
+    injections = _require(raw, "injections", "$", _list_of(_injection))
 
     an_raw = _require(raw, "analysis", "$")
-    methods = an_raw.get("methods", list(VALID_METHODS))
-    if not isinstance(methods, (list, tuple)):
-        raise ConfigurationError(f"analysis.methods: must be a list of method names, got {methods!r}")
+    _require(an_raw, "line", "$.analysis")  # an object, holding the one field without a default
+    annotations = {f.name: f.type for f in fields(AnalysisSettings)}
+    unknown = sorted(set(an_raw) - set(annotations))
+    if unknown:
+        raise ConfigurationError(f"$.analysis: unknown fields {unknown}")
     analysis = AnalysisSettings(
-        line=str(_require(an_raw, "line", "$.analysis")),
-        metric=an_raw.get("metric", "mean"),
-        threshold_pct=float(an_raw.get("threshold_pct", 90.0)),
-        epsilon=float(an_raw.get("epsilon", 0.01)),
-        alpha=float(an_raw.get("alpha", 0.05)),
-        methods=tuple(methods),
-        shots_per_round=_integer(an_raw.get("shots_per_round", 100), "analysis.shots_per_round"),
-        seed=_integer(an_raw.get("seed", 0), "analysis.seed"),
+        **{key: _require(an_raw, key, "$.analysis", _ANALYSIS_READERS[annotations[key]]) for key in an_raw}
     )
     return PipelineConfig(network=network, injections=tuple(injections), analysis=analysis, source=source)
 

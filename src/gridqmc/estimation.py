@@ -38,9 +38,13 @@ IQAE_MAX_EPSILON = 0.25
 class _GroverSteps:
     """What :func:`iqae` needs of an amplification operator for the target state.
 
-    A subclass provides ``prepared``, A|0>, ``step``, one application of
-    Q = A S0 A^T Sg, and ``good_state_index``.
+    A subclass provides ``a_op``, the pipeline operator A, ``prepared``,
+    A|0>, and ``step``, one application of Q = A S0 A^T Sg.
     """
+
+    @property
+    def good_state_index(self) -> int:
+        return self.a_op.good_state_index
 
     @property
     def theta(self) -> float:
@@ -69,7 +73,6 @@ class GroverOperator(_GroverSteps):
 
     q: UnitaryMatrix
     a_op: PipelineUnitary
-    good_state_index: int
 
     @property
     def prepared(self) -> np.ndarray:
@@ -84,7 +87,6 @@ class GroverIterate(_GroverSteps):
     """Amplification operator applied as calls to a structured pipeline operator."""
 
     a_op: PipelineOperator
-    good_state_index: int
 
     @cached_property
     def prepared(self) -> np.ndarray:
@@ -124,6 +126,12 @@ class EstimationResult:
         if not self.ci_low <= self.metric_value <= self.ci_high:
             raise ConfigurationError("estimate must lie inside its confidence interval")
 
+    @classmethod
+    def point(cls, method: str, value: float, epsilon: float, alpha: float, seed: int | None):
+        """A result known exactly, drawn from no sample: a zero-width interval at ``value``."""
+        return cls(method=method, raw_a=value, metric_value=value, ci_low=value, ci_high=value,
+                   shots_total=0, oracle_applications=0, epsilon=epsilon, alpha=alpha, seed=seed)
+
 
 def _check_rotation(op: GroverOperator | GroverIterate) -> None:
     """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
@@ -147,14 +155,14 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
     sg = np.eye(dim)
     sg[a.good_state_index, a.good_state_index] = -1.0
     q = amat @ s0 @ amat.T @ sg
-    op = GroverOperator(q=UnitaryMatrix(q), a_op=a, good_state_index=a.good_state_index)
+    op = GroverOperator(q=UnitaryMatrix(q), a_op=a)
     _check_rotation(op)
     return op
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
     """Structured Grover iterate, probed for unitarity (before A|0> is held) and the rotation identity."""
-    op = GroverIterate(a_op=a, good_state_index=a.good_state_index)
+    op = GroverIterate(a_op=a)
     probe_unitary(op.step, a.dim)
     _check_rotation(op)
     return op

@@ -41,8 +41,9 @@ VALUE_GROUP_TOL = 1e-9
 #: float sums such as 0.3 * 3 land a few ulps below a threshold they equal
 THRESHOLD_TOL = 1e-9
 
-#: bytes above which :func:`build_line_map` refuses to build the dense path
-DENSE_BUDGET_BYTES = 2**30
+#: qubits above which :func:`build_line_map` refuses to build the dense path, whose
+#: n_columns x n_columns float64 operators take 2^(2n + 3) bytes each
+MAX_DENSE_QUBITS = 12
 
 
 def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,16 +157,6 @@ class LineFlowMap(LineLevels):
     m_sc: np.ndarray | None = None
 
 
-def _dense_path_bytes(n_rows: int, n_columns: int) -> int:
-    """Lower bound on the memory the dense path holds at once.
-
-    The float64 map and its orthonormalized copy, plus two float64
-    ``n_columns`` x ``n_columns`` operators: a factor of the completion and
-    the residual of its orthogonality check.
-    """
-    return 2 * 8 * n_rows * n_columns + 2 * 8 * n_columns * n_columns
-
-
 def build_line_map(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
@@ -173,18 +164,14 @@ def build_line_map(
 ) -> LineFlowMap:
     """Dense form of :func:`line_levels`: one 0/1 row per loading level.
 
-    Raises :class:`ConfigurationError` before allocating anything dense
-    when its lower bound on the dense path's memory exceeds
-    ``DENSE_BUDGET_BYTES``.
+    Raises :class:`ConfigurationError` above ``MAX_DENSE_QUBITS``, before
+    any joint state is enumerated.
     """
+    n_qubits = sum(d.n_qubits for d in distributions)
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
     levels = line_levels(h_row, distributions, line=line)
     n_rows, n_cols = levels.n_rows, levels.n_columns
-    needed = _dense_path_bytes(n_rows, n_cols)
-    if needed > DENSE_BUDGET_BYTES:
-        raise ConfigurationError(
-            f"dense flow map for {n_cols} joint states needs at least "
-            f"{needed / 2**30:.1f} GiB, over the {DENSE_BUDGET_BYTES / 2**30:.1f} GiB budget"
-        )
     m = np.zeros((n_rows, n_cols))
     m[levels.labels, np.arange(n_cols)] = 1.0
     return LineFlowMap(**vars(levels), m=m)
@@ -213,7 +200,7 @@ class UnitaryFactorization:
 def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
     """Materialize the unitary completion C = P R of the map's levels.
 
-    Takes the map from :func:`build_line_map`, whose budget check bounds
+    Takes the map from :func:`build_line_map`, whose qubit budget bounds
     the two dense factors.
     """
     completion = LevelCompletion.from_levels(lf_map)
@@ -237,8 +224,6 @@ class EstimatorVector:
     from its states of positive probability only.
     """
 
-    metric: str
-    threshold: float | None
     v: np.ndarray
     scaling: float
     level_metric: np.ndarray
@@ -281,9 +266,7 @@ def build_estimator_vector(
     v[: levels.n_rows] = np.where(levels.mass > 0, weight, 0.0)
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
     scaling = float(np.linalg.norm(v)) * prod_norms
-    return EstimatorVector(
-        metric=metric, threshold=threshold, v=v, scaling=scaling, level_metric=level_metric
-    )
+    return EstimatorVector(v=v, scaling=scaling, level_metric=level_metric)
 
 
 def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -315,8 +298,11 @@ class PipelineUnitary:
     """
 
     a: UnitaryMatrix
-    good_state_index: int
     scaling: float
+
+    @property
+    def good_state_index(self) -> int:
+        return self.a.dim - 1
 
 
 def assemble_pipeline(
@@ -333,7 +319,7 @@ def assemble_pipeline(
     if prep.shape[0] != dim or h.dim != dim:
         raise ConfigurationError("stage dimensions do not match")
     a = h.entries @ factorization.u_padded.entries @ factorization.v_h.entries @ prep
-    return PipelineUnitary(a=UnitaryMatrix(a), good_state_index=dim - 1, scaling=scaling)
+    return PipelineUnitary(a=UnitaryMatrix(a), scaling=scaling)
 
 
 def build_line_pipeline(
@@ -474,7 +460,6 @@ class PipelineOperator:
     completion: LevelCompletion
     h_vector: np.ndarray
     h_gain: float
-    good_state_index: int
     scaling: float
 
     @property
@@ -484,6 +469,10 @@ class PipelineOperator:
     @property
     def dim(self) -> int:
         return len(self.h_vector)
+
+    @property
+    def good_state_index(self) -> int:
+        return self.dim - 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
@@ -536,7 +525,6 @@ def build_pipeline_operator(
         completion=LevelCompletion.from_levels(levels),
         h_vector=h_vector,
         h_gain=h_gain,
-        good_state_index=2**n_qubits - 1,
         scaling=estimator.scaling,
     )
     probe_unitary(op.apply, op.dim, op.apply_adjoint)

@@ -139,10 +139,3 @@ def reflect_axes(reflections: Sequence[tuple[np.ndarray, float, np.ndarray]], y:
                 block[:, j : j + step] -= gw[j : j + step] * dots
         left *= k
     return y
-
-
-def apply_state_prep(encodings: Sequence[EncodedInjection], x: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of the per-bus :func:`state_prep_unitary` to ``x``."""
-    if len(x) != int(np.prod([len(enc.amplitudes) for enc in encodings])):
-        raise ConfigurationError("state length does not match the encodings")
-    return reflect_axes(prep_reflections(encodings), np.array(x, dtype=float, order="C"))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -13,7 +13,7 @@ from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, build_line_pipeline, build_pipeline_operator, line_levels
 from .grid import build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
-from .simulator import StateVector, apply, sample_counts, zero_state
+from .simulator import MAX_QUBITS, StateVector, apply, sample_counts, zero_state
 
 STAGES = ("psi", "L", "V")
 
@@ -31,48 +31,28 @@ class RunReport:
     version: str
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "version": self.version,
             "seed": self.seed,
             "config": self.config_echo,
             "exact_value": self.exact_value,
             "sample_ratio_quantum_classical": self.sample_ratio,
             "ci_contains_exact": self.coverage,
-            "results": {},
+            "results": {name: asdict(res) for name, res in self.results.items()},
         }
-        for name, res in self.results.items():
-            out["results"][name] = {
-                "method": res.method,
-                "raw_a": res.raw_a,
-                "metric_value": res.metric_value,
-                "ci_low": res.ci_low,
-                "ci_high": res.ci_high,
-                "shots_total": res.shots_total,
-                "oracle_applications": res.oracle_applications,
-                "epsilon": res.epsilon,
-                "alpha": res.alpha,
-                "seed": res.seed,
-            }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _config_echo(config: PipelineConfig) -> dict:
-    return {
-        "source": config.source,
-        "line": config.analysis.line,
-        "metric": config.analysis.metric,
-        "threshold_pct": config.analysis.threshold_pct,
-        "epsilon": config.analysis.epsilon,
-        "alpha": config.analysis.alpha,
-        "methods": list(config.analysis.methods),
-        "shots_per_round": config.analysis.shots_per_round,
-        "slack_bus": config.network.slack_bus,
-        "n_buses": len(config.network.bus_ids),
-        "n_lines": len(config.network.lines),
-    }
+    """The analysis settings, but the seed, which the report holds at its top level."""
+    echo = asdict(config.analysis)
+    del echo["seed"]
+    net = config.network
+    echo.update(methods=list(echo["methods"]), source=config.source, slack_bus=net.slack_bus,
+                n_buses=len(net.bus_ids), n_lines=len(net.lines))
+    return echo
 
 
 def _analysis_inputs(config: PipelineConfig):
@@ -95,11 +75,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         exact = exact_line_distribution(h_row, distributions)
     if "exact" in an.methods:
         exact_value = exact.metric(an.metric, threshold)
-        results["exact"] = EstimationResult(
-            method="exact", raw_a=exact_value, metric_value=exact_value,
-            ci_low=exact_value, ci_high=exact_value, shots_total=0,
-            oracle_applications=0, epsilon=an.epsilon, alpha=an.alpha, seed=None,
-        )
+        results["exact"] = EstimationResult.point("exact", exact_value, an.epsilon, an.alpha, None)
 
     if "iqae" in an.methods:
         pipeline, _, estimator = build_pipeline_operator(
@@ -107,11 +83,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         )
         if pipeline is None:
             # nothing to estimate; the metric is exactly zero
-            results["iqae"] = EstimationResult(
-                method="iqae", raw_a=0.0, metric_value=0.0, ci_low=0.0, ci_high=0.0,
-                shots_total=0, oracle_applications=0, epsilon=an.epsilon,
-                alpha=an.alpha, seed=an.seed,
-            )
+            results["iqae"] = EstimationResult.point("iqae", 0.0, an.epsilon, an.alpha, an.seed)
         else:
             grover = build_grover_iterate(pipeline)
             raw = iqae(grover, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
@@ -148,28 +120,32 @@ def run_analysis(config: PipelineConfig) -> RunReport:
 def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     """Statevector after the requested pipeline stage for the configured line.
 
-    Stage L applies the structured :class:`~gridqmc.flowmap.LevelCompletion`
-    to the joint state and forms no matrix, so it runs up to
-    ``MAX_QUBITS``.  Stage V goes through the dense builders, bounded by
-    ``DENSE_BUDGET_BYTES``; its amplitudes equal those of the structured
-    operator to rounding.
+    Stages psi and L run up to ``MAX_QUBITS``: stage L applies the
+    structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
+    and forms no matrix.  Stage V goes through the dense builders, up to
+    ``flowmap.MAX_DENSE_QUBITS``; its amplitudes equal those of the
+    structured operator to rounding.  A larger study is refused with
+    :class:`ConfigurationError` before any joint state is enumerated.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
     h_row, distributions = _analysis_inputs(config)
+    n_qubits = sum(d.n_qubits for d in distributions)
+    if n_qubits > MAX_QUBITS:
+        raise ConfigurationError(f"{n_qubits} qubits, at most {MAX_QUBITS} supported")
+    if stage == "V":
+        threshold = an.threshold_fraction if an.metric == "overload" else None
+        pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
+        if pipeline is None:
+            raise ConfigurationError("estimator is degenerate; stage V is undefined")
+        return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
+    psi = joint_state([encode(d) for d in distributions])
     if stage == "psi":
-        return joint_state([encode(d) for d in distributions])
-    if stage == "L":
-        # flow map applied to the joint state, estimator reflection omitted
-        psi = joint_state([encode(d) for d in distributions])
-        completion = LevelCompletion.from_levels(line_levels(h_row, distributions, line=an.line))
-        return StateVector(psi.n_qubits, completion.apply(psi.amplitudes))
-    threshold = an.threshold_fraction if an.metric == "overload" else None
-    pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
-    if pipeline is None:
-        raise ConfigurationError("estimator is degenerate; stage V is undefined")
-    return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
+        return psi
+    # stage L: the flow map applied to the joint state, estimator reflection omitted
+    completion = LevelCompletion.from_levels(line_levels(h_row, distributions, line=an.line))
+    return StateVector(psi.n_qubits, completion.apply(psi.amplitudes))
 
 
 def export_histogram(

@@ -71,8 +71,6 @@ class UnitaryMatrix:
         n, m = mat.shape
         if n != m or n & (n - 1) != 0:
             raise ConfigurationError("unitary must be square with power-of-two dimension")
-        if n > 2**MAX_QUBITS:
-            raise ConfigurationError(f"at most {MAX_QUBITS} qubits supported")
         residual = np.max(np.abs(mat.T @ mat - np.eye(n)))
         if residual > _UNITARY_TOL * n:
             raise ConfigurationError(f"matrix is not unitary (residual {residual:.2e})")

@@ -29,7 +29,8 @@ from gridqmc import (
     unitary_factorize,
     zero_state,
 )
-from gridqmc.estimation import EstimationResult, iqae
+from gridqmc.estimation import EstimationResult, build_grover_iterate, iqae
+from gridqmc.flowmap import build_pipeline_operator
 from gridqmc.runner import _analysis_inputs
 from tests.conftest import random_distribution
 
@@ -62,21 +63,25 @@ def test_criterion_1_sample_count_formula():
 
 
 def test_criterion_2_quantum_classical_equivalence():
-    worst = 0.0
+    # the dense pipeline is the reference; the structured operator is what run_analysis runs
+    worst = {"dense": 0.0, "structured": 0.0}
     for h_row, dists in random_instances(200):
         ex = exact_line_distribution(h_row, dists)
         threshold = float(np.median(ex.values))
         for metric, want in (("mean", ex.mean), ("overload", ex.overload_probability(threshold))):
-            pipe, _, est = build_line_pipeline(
-                h_row, dists, metric, threshold if metric == "overload" else None
-            )
-            if pipe is None:
-                got = 0.0
-            else:
+            args = (h_row, dists, metric, threshold if metric == "overload" else None)
+            pipe, _, est = build_line_pipeline(*args)
+            op, _, op_est = build_pipeline_operator(*args)
+            assert (pipe is None) == (op is None)
+            got = {"dense": 0.0, "structured": 0.0}
+            if pipe is not None:
                 amp = apply(pipe.a, zero_state(pipe.a.n_qubits))
-                got = amp.amplitudes[pipe.good_state_index].real * est.scaling
-            worst = max(worst, abs(got - want))
-    report(2, worst <= 1e-9, f"200 instances, worst metric deviation {worst:.3e} (tol 1e-9)")
+                got["dense"] = amp.amplitudes[pipe.good_state_index].real * est.scaling
+                got["structured"] = op.prepared()[op.good_state_index] * op_est.scaling
+            for path in worst:
+                worst[path] = max(worst[path], abs(got[path] - want))
+    detail = ", ".join(f"{path} {dev:.3e}" for path, dev in worst.items())
+    report(2, max(worst.values()) <= 1e-9, f"200 instances, worst metric deviation {detail} (tol 1e-9)")
 
 
 def test_criterion_3_loading_state_fidelity():
@@ -97,17 +102,21 @@ def test_criterion_3_loading_state_fidelity():
 def test_criterion_4_iqae_statistical_contract(configs):
     h_row, dists = _analysis_inputs(configs["three_bus"])
     pipe, _, _ = build_line_pipeline(h_row, dists, "mean")
-    grover = build_grover(pipe)
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
     a_true = probability_of(apply(pipe.a, zero_state(pipe.a.n_qubits)), pipe.good_state_index)
-    hits = 0
-    max_width = 0.0
-    for seed in range(200):
-        res = iqae(grover, epsilon=0.01, alpha=0.05, rng_seed=seed)
-        hits += res.ci_low <= a_true <= res.ci_high
-        max_width = max(max_width, res.ci_high - res.ci_low)
-    coverage = hits / 200
-    ok = coverage >= 0.93 and max_width <= 0.02
-    report(4, ok, f"coverage {coverage:.3f} (>=0.93), max interval width {max_width:.4f} (<=0.02)")
+    ok, details = True, []
+    # the dense Grover operator is the reference; the structured iterate is what run_analysis runs
+    for path, grover in (("dense", build_grover(pipe)), ("structured", build_grover_iterate(op))):
+        hits = 0
+        max_width = 0.0
+        for seed in range(200):
+            res = iqae(grover, epsilon=0.01, alpha=0.05, rng_seed=seed)
+            hits += res.ci_low <= a_true <= res.ci_high
+            max_width = max(max_width, res.ci_high - res.ci_low)
+        coverage = hits / 200
+        ok = ok and coverage >= 0.93 and max_width <= 0.02
+        details.append(f"{path} coverage {coverage:.3f}, max interval width {max_width:.4f}")
+    report(4, ok, "; ".join(details) + " (>=0.93, <=0.02)")
 
 
 def test_criterion_5_sample_complexity_advantage(configs):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from gridqmc import (
 )
 from gridqmc.cli import main
 from gridqmc.config import parse_config
+from gridqmc.errors import EnumerationBoundError
 from gridqmc.flowmap import line_levels
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
 from gridqmc.simulator import sample_counts
@@ -400,6 +402,37 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda raw: raw["analysis"].update(epsilon=None),
+                     "analysis.epsilon: must be a number", id="null-epsilon"),
+        pytest.param(lambda raw: raw["analysis"].update(epsilon="abc"),
+                     "analysis.epsilon: must be a number", id="text-epsilon"),
+        pytest.param(lambda raw: raw["analysis"].update(epsilon="0.1"),
+                     "analysis.epsilon: must be a number", id="numeric-string-epsilon"),
+        pytest.param(lambda raw: raw["analysis"].update(alpha=True),
+                     "analysis.alpha: must be a number", id="bool-alpha"),
+        pytest.param(lambda raw: raw["analysis"].update(epsilonn=0.3),
+                     "analysis: unknown fields ['epsilonn']", id="misspelt-analysis-key"),
+        pytest.param(lambda raw: raw["network"]["lines"][0].update(rating_mw=None),
+                     "$.network.lines[0].rating_mw: must be a number", id="null-rating"),
+        pytest.param(lambda raw: raw["injections"][0].update(values_mw="x"),
+                     "$.injections[0].values_mw: must be a list", id="text-levels"),
+        pytest.param(lambda raw: raw["injections"][1]["probabilities"].__setitem__(2, "0.42"),
+                     "$.injections[1].probabilities[2]: must be a number", id="text-probability"),
+        pytest.param(lambda raw: raw["network"].update(lines=5),
+                     "$.network.lines: must be a list", id="number-lines"),
+        pytest.param(lambda raw: raw["injections"].__setitem__(0, 5),
+                     "$.injections[0]: must be an object", id="number-injection"),
+        pytest.param(lambda raw: raw.update(analysis=[]),
+                     "$.analysis: must be an object", id="list-analysis"),
+        pytest.param(lambda raw: raw["network"].update(buses=None),
+                     "$.network.buses: must be a list", id="null-buses"),
+    ])
+    def test_refuses_malformed_field(self, mutate, message, tmp_path, capsys):
+        # each field is read as its JSON type: no traceback, and no silent conversion or default
+        assert main(["validate", "--config", str(write_config(tmp_path, mutate))]) == 2
+        assert message in capsys.readouterr().err
+
     def test_integral_float_fields_accepted(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw["analysis"].update(seed=7.0, shots_per_round=100.0))
         assert load_config(path).analysis == load_config(builtin_config_path("three_bus")).analysis
@@ -481,6 +514,22 @@ class TestCli:
                      "--out", str(tmp_path / "v.csv")])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [*STAGES, None])
+    def test_oversized_study_refused_before_enumeration(self, stage):
+        config = parse_config(ring_study(12))  # 24 qubits: one joint-state vector is 128 MiB
+        tracemalloc.start()
+        try:
+            if stage is None:
+                with pytest.raises(EnumerationBoundError):
+                    run_analysis(config)
+            else:
+                with pytest.raises(ConfigurationError, match="at most 20 supported"):
+                    stage_state(config, stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_histogram_command(self, tmp_path):
         out = tmp_path / "h.csv"

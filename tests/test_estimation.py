@@ -23,7 +23,7 @@ def rotation_oracle(a: float) -> PipelineUnitary:
     """Single-qubit preparation with good-state probability a."""
     s, c = math.sqrt(a), math.sqrt(1 - a)
     u = UnitaryMatrix(np.array([[c, -s], [s, c]]))
-    return PipelineUnitary(a=u, good_state_index=1, scaling=1.0)
+    return PipelineUnitary(a=u, scaling=1.0)
 
 
 @pytest.fixture(scope="module")

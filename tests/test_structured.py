@@ -29,7 +29,7 @@ from gridqmc import (
 from gridqmc import estimation
 from gridqmc.estimation import GroverIterate, build_grover_iterate
 from gridqmc.flowmap import LevelCompletion, PipelineOperator, build_pipeline_operator, line_levels
-from gridqmc.injection import apply_state_prep
+from gridqmc.injection import prep_reflections, reflect_axes
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
 from tests.conftest import nine_qubit_ring, synthetic_grid
@@ -131,7 +131,7 @@ def test_state_prep_matches_kronecker_product():
     dense = np.eye(1)
     for enc in encs:
         dense = np.kron(dense, state_prep_unitary(enc).entries)
-    got = materialize(lambda x: apply_state_prep(encs, x), 16)
+    got = materialize(lambda x: reflect_axes(prep_reflections(encs), x.copy()), 16)
     assert np.max(np.abs(got - dense)) < 1e-12
 
 
