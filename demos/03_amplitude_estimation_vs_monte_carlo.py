@@ -1,9 +1,13 @@
 """Head-to-head comparison: amplitude estimation against classical sampling.
 
-Runs the full analysis on both bundled studies with identical accuracy
-targets (1% margin, 95% confidence) and reports each method's estimate,
-confidence interval, and sample budget.  The quantum estimator reaches the
-same target with a small fraction of the classical sample count.
+Runs the full analysis on both bundled studies and reports each method's
+estimate, confidence interval and sample budget.  Both methods get
+epsilon 0.01 and 95% confidence, but not on the same scale: Monte Carlo
+sizes its budget for a half-width of 0.01 on the metric, while IQAE stops
+at a half-width of 0.01 on the amplitude-squared scale, so the two
+intervals differ in width.  The printed ratio divides IQAE shots by Monte
+Carlo samples; each shot at Grover power k costs 2k+1 operator calls, so
+it is not a comparison of cost at matched accuracy.
 """
 from gridqmc import builtin_config_path, load_config, run_analysis
 

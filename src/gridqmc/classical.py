@@ -12,11 +12,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationBoundError
+from .errors import ConfigurationError
 from .estimation import EstimationResult
 from .flowmap import THRESHOLD_TOL
 from .injection import InjectionDistribution
-from .simulator import MAX_QUBITS
+from .simulator import check_qubit_count
 
 _VALUE_TOL = 1e-9
 
@@ -55,8 +55,7 @@ def exact_line_distribution(
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
     n_qubits = sum(dist.n_qubits for dist in distributions)
-    if n_qubits > MAX_QUBITS:
-        raise EnumerationBoundError(f"{2**n_qubits} joint states exceed the enumeration bound")
+    check_qubit_count(n_qubits)
 
     # mixed radix over the joint states, first bus most significant
     loading, mass = np.zeros(1), np.ones(1)

@@ -121,16 +121,25 @@ _ANALYSIS_READERS = {"str": _string, "float": _number, "int": _integer,
                      "tuple[str, ...]": lambda value, path: tuple(_list_of(_string)(value, path))}
 
 
-def _require(mapping, key: str, path: str, read=lambda value, path: value):
-    """``mapping[key]`` as ``read`` reads it; ``mapping`` must be a JSON object."""
-    if not isinstance(mapping, dict):
-        raise ConfigurationError(f"{path}: must be an object, got {type(mapping).__name__}")
+def _object(value, path: str, known) -> dict:
+    """``value`` if it is a JSON object whose every key is one of ``known``: a misspelt key is refused."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path}: must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown fields {unknown}")
+    return value
+
+
+def _require(mapping: dict, key: str, path: str, read=lambda value, path: value):
+    """``mapping[key]`` as ``read`` reads it."""
     if key not in mapping:
         raise ConfigurationError(f"{path}.{key}: missing required field")
     return read(mapping[key], f"{path}.{key}")
 
 
 def _line(raw, path: str) -> Line:
+    raw = _object(raw, path, ("id", "from_bus", "to_bus", "susceptance_pu", "rating_mw"))
     return Line(
         from_bus=_require(raw, "from_bus", path, _integer),
         to_bus=_require(raw, "to_bus", path, _integer),
@@ -141,6 +150,7 @@ def _line(raw, path: str) -> Line:
 
 
 def _injection(raw, path: str) -> InjectionDistribution:
+    raw = _object(raw, path, ("bus", "values_mw", "probabilities"))
     return InjectionDistribution(
         bus=_require(raw, "bus", path, _integer),
         values_mw=_require(raw, "values_mw", path, _list_of(_number)),
@@ -169,10 +179,12 @@ def load_config(path: str | Path, analysis_overrides: dict | None = None) -> Pip
 def parse_config(raw: dict, source: str = "") -> PipelineConfig:
     """Read a study's JSON value, every field as its JSON type.
 
-    Absent ``analysis`` fields take the defaults of :class:`AnalysisSettings`;
-    keys that are none of its fields are refused.
+    Absent ``analysis`` fields take the defaults of :class:`AnalysisSettings`.
+    Every object refuses a key that is none of its fields, naming the
+    object's JSON path; the top level also accepts a ``description``.
     """
-    net_raw = _require(raw, "network", "$")
+    raw = _object(raw, "$", ("network", "injections", "analysis", "description"))
+    net_raw = _object(_require(raw, "network", "$"), "$.network", ("buses", "slack_bus", "lines"))
     network = Network(
         bus_ids=tuple(_require(net_raw, "buses", "$.network", _list_of(_integer))),
         slack_bus=_require(net_raw, "slack_bus", "$.network", _integer),
@@ -180,12 +192,9 @@ def parse_config(raw: dict, source: str = "") -> PipelineConfig:
     )
     injections = _require(raw, "injections", "$", _list_of(_injection))
 
-    an_raw = _require(raw, "analysis", "$")
-    _require(an_raw, "line", "$.analysis")  # an object, holding the one field without a default
     annotations = {f.name: f.type for f in fields(AnalysisSettings)}
-    unknown = sorted(set(an_raw) - set(annotations))
-    if unknown:
-        raise ConfigurationError(f"$.analysis: unknown fields {unknown}")
+    an_raw = _object(_require(raw, "analysis", "$"), "$.analysis", annotations)
+    _require(an_raw, "line", "$.analysis")  # the one field without a default
     analysis = AnalysisSettings(
         **{key: _require(an_raw, key, "$.analysis", _ANALYSIS_READERS[annotations[key]]) for key in an_raw}
     )

@@ -13,8 +13,8 @@ class DisconnectedNetworkError(GridQmcError):
     """The reduced susceptance matrix is singular (network not connected)."""
 
 
-class EnumerationBoundError(GridQmcError):
-    """Instance too large for exact enumeration."""
+class EnumerationBoundError(ConfigurationError):
+    """Study over the qubit limit: too large to enumerate or to simulate."""
 
 
 class EstimationFailureError(GridQmcError):

@@ -95,11 +95,11 @@ class GroverIterate(_GroverSteps):
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Q x = A S0 A^T Sg x for a vector or each column of a block; each phase flip negates one row."""
-        y = x.copy()
+        y = self.a_op._own(x)  # the one copy of the step, overwritten by the operator calls
         y[self.good_state_index] = -y[self.good_state_index]
-        y = self.a_op.apply_adjoint(y)
+        y = self.a_op._backward(y)
         y[0] = -y[0]
-        return self.a_op.apply(y)
+        return self.a_op._forward(y)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .injection import (
     reflect_axes,
     state_prep_unitary,
 )
-from .simulator import MAX_QUBITS, UnitaryMatrix, householder, probe_unitary, reflection_unitary
+from .simulator import UnitaryMatrix, check_qubit_count, householder, probe_unitary, reflection_unitary
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
@@ -447,7 +447,9 @@ class PipelineOperator:
     """The pipeline operator A = H C prep, kept as factors and applied as calls.
 
     ``prep`` is the Kronecker product of the per-bus state-prep reflections,
-    held as their :func:`~gridqmc.injection.prep_reflections`, ``C`` the
+    held as the few fused factors of
+    :func:`~gridqmc.injection.prep_reflections` and applied by
+    :func:`~gridqmc.injection.reflect_axes`, ``C`` the
     :class:`LevelCompletion` and ``H`` the rank-1 metric reflection.  Same
     contract as :class:`PipelineUnitary`: the amplitude of
     ``good_state_index`` in ``A|0>`` is the metric on the amplitude scale.
@@ -456,7 +458,7 @@ class PipelineOperator:
     state.
     """
 
-    prep: tuple[tuple[np.ndarray, float, np.ndarray], ...]
+    prep: tuple  # the factors of prep_reflections
     completion: LevelCompletion
     h_vector: np.ndarray
     h_gain: float
@@ -476,26 +478,33 @@ class PipelineOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
-        self._check_length(x)
-        y = self.completion.reflect(reflect_axes(self.prep, np.array(x, dtype=float, order="C")))
-        y = self.completion.permute(y)  # rebinding frees the unpermuted copy
-        return _reflect(y, self.h_vector, self.h_gain)
+        return self._forward(self._own(x))
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """A^T x; every factor but the permutation is symmetric."""
-        self._check_length(x)
-        y = self.completion.unpermute(_reflect(np.array(x, dtype=float), self.h_vector, self.h_gain))
-        return reflect_axes(self.prep, self.completion.reflect(y))
+        return self._backward(self._own(x))
 
-    def _check_length(self, x: np.ndarray) -> None:
+    def _own(self, x: np.ndarray) -> np.ndarray:
+        """``x``, checked for length, as a new C-contiguous float64 array for ``_forward`` or ``_backward``."""
         if len(x) != self.dim:
             raise ConfigurationError("state length does not match the operator")
+        return np.array(x, dtype=float, order="C")
+
+    def _forward(self, y: np.ndarray) -> np.ndarray:
+        """A y; overwrites ``y``, an array that ``_own`` made."""
+        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, y)))
+        return _reflect(y, self.h_vector, self.h_gain)
+
+    def _backward(self, y: np.ndarray) -> np.ndarray:
+        """A^T y; overwrites ``y``, an array that ``_own`` made."""
+        y = self.completion.unpermute(_reflect(y, self.h_vector, self.h_gain))
+        return reflect_axes(self.prep, self.completion.reflect(y))
 
     def prepared(self) -> np.ndarray:
         """A|0>."""
         e0 = np.zeros(self.dim)
         e0[0] = 1.0
-        return self.apply(e0)
+        return self._forward(e0)
 
 
 def build_pipeline_operator(
@@ -513,8 +522,7 @@ def build_pipeline_operator(
     """
     encodings = tuple(encode(d) for d in distributions)
     n_qubits = sum(enc.n_qubits for enc in encodings)
-    if n_qubits > MAX_QUBITS:
-        raise ConfigurationError(f"{n_qubits} qubits, at most {MAX_QUBITS} supported")
+    check_qubit_count(n_qubits)
     levels = line_levels(h_row, distributions, line=line)
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:

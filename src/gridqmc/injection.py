@@ -16,9 +16,12 @@ from .errors import ConfigurationError
 from .simulator import StateVector, UnitaryMatrix, householder, reflection_unitary
 
 _PROB_SUM_TOL = 1e-9
-#: :func:`reflect_axes` updates a bus axis in slices whose temporary holds at most
-#: this many elements, or 1/k of its input where that is more
+#: :func:`reflect_axes` updates an axis in slices whose temporary holds at most
+#: this many elements
 _UPDATE_ELEMENTS = 2**16
+#: :func:`prep_reflections` fuses adjacent buses into one dense factor while the
+#: fused axis has at most this many levels; 64 was slower at 20 qubits
+_FUSED_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -109,33 +112,76 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
     return reflection_unitary(*householder(encoding.amplitudes, 0))
 
 
-def prep_reflections(
-    encodings: Sequence[EncodedInjection],
-) -> tuple[tuple[np.ndarray, float, np.ndarray], ...]:
-    """Per bus the :func:`householder` ``(w, gain)`` of :func:`state_prep_unitary` and ``gain * w`` as a column."""
-    pairs = (householder(enc.amplitudes, 0) for enc in encodings)
-    return tuple((w, gain, gain * w[:, None]) for w, gain in pairs)
+@dataclass(frozen=True)
+class _Reflection:
+    """Reflection ``I - gw w^T`` of a bus of more than ``_FUSED_LEVELS`` levels, not formed as a matrix.
+
+    Its dense form would take k^2 floats, 8 TiB for one bus of 2^20 levels.
+    ``f @ x`` applies it along the first of the last two axes of ``x``, as
+    for a dense factor.
+    """
+
+    w: np.ndarray
+    gw: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x - self.gw[:, None] * (self.w @ x)[..., None, :]
 
 
-def reflect_axes(reflections: Sequence[tuple[np.ndarray, float, np.ndarray]], y: np.ndarray) -> np.ndarray:
+def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray | _Reflection, ...]:
+    """The state prep, the Kronecker product of every bus's :func:`state_prep_unitary`, as a few factors.
+
+    Adjacent buses share one dense factor, the ``np.kron`` of their
+    reflections, while the fused axis has at most ``_FUSED_LEVELS`` levels:
+    buses of 4, 4, 4, 4 and 2 levels give factors of 16, 16 and 2.  A bus of
+    more levels is a factor of its own, kept as its rank-1 reflection.  Each
+    factor is exactly symmetric, and so is their product.
+    """
+    factors, fused = [], np.eye(1)
+    for enc in encodings:
+        w, gain = householder(enc.amplitudes, 0)
+        if len(fused) * len(w) > _FUSED_LEVELS:
+            factors.append(fused)
+            fused = np.eye(1)
+        if len(w) > _FUSED_LEVELS:
+            factors.append(_Reflection(w, gain * w))
+        else:
+            fused = np.kron(fused, np.eye(len(w)) - gain * np.outer(w, w))
+    return tuple(f for f in [*factors, fused] if len(f) > 1)
+
+
+def reflect_axes(factors: Sequence[np.ndarray | _Reflection], y: np.ndarray) -> np.ndarray:
     """Apply the Kronecker product of :func:`prep_reflections` to ``y`` in place and return it.
 
     ``y``, a C-contiguous vector or ``(dim, m)`` block of columns, is viewed
-    as one axis per bus, first bus most significant, and each reflection
-    contracts its own axis: O(2^n * sum 2^k) time, no matrix, and no
-    temporary above ``_UPDATE_ELEMENTS`` or 1/k of ``y``.  The product is
-    symmetric, so this is also its adjoint.  The caller checks that
-    ``len(y)`` is the product of the axis lengths.
+    as one axis per factor, first factor most significant, and each factor
+    is applied along its axis by one matrix product per slice: ``f @ block``
+    with the axis in the middle of a ``(left, k, right)`` view, and on the
+    last axis of a vector ``f @ rows.T``, one GEMM per slice of rows.  No
+    temporary holds more than ``_UPDATE_ELEMENTS`` elements, or one axis of
+    a bus that has more levels.  The product is symmetric, so this is also
+    its adjoint.  The caller checks that ``len(y)`` is the product of the
+    axis lengths.
     """
     left, right = 1, y.size
-    for w, gain, gw in reflections:
-        k = len(w)
+    for f in factors:
+        k = len(f)
         right //= k
-        if gain:
+        if right == 1:
+            rows = y.reshape(left, k)
+            step = max(1, _UPDATE_ELEMENTS // k)
+            for i in range(0, left, step):
+                rows[i : i + step] = (f @ rows[i : i + step].T).T
+        else:
             block = y.reshape(left, k, right)
-            dots = np.einsum("lkr,k->lr", block, w)[:, None]
-            step = max(1, _UPDATE_ELEMENTS // dots.size)
-            for j in range(0, k, step):
-                block[:, j : j + step] -= gw[j : j + step] * dots
+            width = min(right, max(1, _UPDATE_ELEMENTS // k))
+            step = max(1, _UPDATE_ELEMENTS // (k * width))
+            for i in range(0, left, step):
+                for j in range(0, right, width):
+                    sub = block[i : i + step, :, j : j + width]
+                    sub[...] = f @ sub
         left *= k
     return y

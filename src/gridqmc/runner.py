@@ -13,7 +13,7 @@ from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, build_line_pipeline, build_pipeline_operator, line_levels
 from .grid import build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
-from .simulator import MAX_QUBITS, StateVector, apply, sample_counts, zero_state
+from .simulator import StateVector, apply, check_qubit_count, sample_counts, zero_state
 
 STAGES = ("psi", "L", "V")
 
@@ -124,16 +124,16 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
     and forms no matrix.  Stage V goes through the dense builders, up to
     ``flowmap.MAX_DENSE_QUBITS``; its amplitudes equal those of the
-    structured operator to rounding.  A larger study is refused with
-    :class:`ConfigurationError` before any joint state is enumerated.
+    structured operator to rounding.  A study over ``MAX_QUBITS`` is refused
+    by :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
+    enumerated.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
     h_row, distributions = _analysis_inputs(config)
     n_qubits = sum(d.n_qubits for d in distributions)
-    if n_qubits > MAX_QUBITS:
-        raise ConfigurationError(f"{n_qubits} qubits, at most {MAX_QUBITS} supported")
+    check_qubit_count(n_qubits)
     if stage == "V":
         threshold = an.threshold_fraction if an.metric == "overload" else None
         pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)

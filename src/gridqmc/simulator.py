@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EnumerationBoundError
 
 MAX_QUBITS = 20
 
@@ -23,6 +23,14 @@ _PROBE_COUNT = 3
 _PROBE_SEED = 20231003
 #: a reflection vector with a smaller squared norm stands for the identity
 _IDENTITY_NORM2 = 1e-24
+
+
+def check_qubit_count(n_qubits: int) -> None:
+    """Refuse a study of more than ``MAX_QUBITS`` qubits, before any joint state is formed."""
+    if n_qubits > MAX_QUBITS:
+        raise EnumerationBoundError(
+            f"{n_qubits} qubits ({2**n_qubits} joint states), at most {MAX_QUBITS} supported"
+        )
 
 
 def _frozen_real(values) -> np.ndarray:
@@ -44,8 +52,7 @@ class StateVector:
     def __post_init__(self):
         amps = _frozen_real(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if self.n_qubits > MAX_QUBITS:
-            raise ConfigurationError(f"at most {MAX_QUBITS} qubits supported")
+        check_qubit_count(self.n_qubits)
         if amps.shape != (2**self.n_qubits,):
             raise ConfigurationError("amplitude vector length must be 2**n_qubits")
         if abs(np.linalg.norm(amps) - 1.0) > _NORM_TOL:

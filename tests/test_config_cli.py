@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,9 +25,9 @@ from gridqmc import (
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.errors import EnumerationBoundError
-from gridqmc.flowmap import line_levels
+from gridqmc.flowmap import build_pipeline_operator, line_levels
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
-from gridqmc.simulator import sample_counts
+from gridqmc.simulator import StateVector, sample_counts
 from tests.conftest import nine_qubit_ring, ring_study
 
 
@@ -433,6 +434,36 @@ class TestCli:
         assert main(["validate", "--config", str(write_config(tmp_path, mutate))]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda raw: raw["network"]["lines"][1].update(name=raw["network"]["lines"][1].pop("id")),
+                     "$.network.lines[1]: unknown fields ['name']", id="line-name-for-id"),
+        pytest.param(lambda raw: raw["network"]["lines"][0].update(ratingmw=9.0),
+                     "$.network.lines[0]: unknown fields ['ratingmw']", id="line-ratingmw"),
+        pytest.param(lambda raw: raw["injections"][0].update(probabilites=[0.25] * 4),
+                     "$.injections[0]: unknown fields ['probabilites']", id="injection-probabilites"),
+        pytest.param(lambda raw: raw["network"].update(slack=3),
+                     "$.network: unknown fields ['slack']", id="network-slack"),
+        pytest.param(lambda raw: raw.update(descripton="ring"),
+                     "$: unknown fields ['descripton']", id="top-level-descripton"),
+    ])
+    def test_refuses_misspelt_key(self, mutate, message, tmp_path, capsys):
+        assert main(["validate", "--config", str(write_config(tmp_path, mutate))]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_renamed_line_ids_refused_not_dropped(self, tmp_path, capsys):
+        # each line's "id" renamed "name", plus "ratingmw" on line 1-2 and "probabilites" on bus 1:
+        # every one of them used to validate, the ids falling back to from-to without a word
+        def mutate(raw):
+            for line in raw["network"]["lines"]:
+                line["name"] = line.pop("id")
+            raw["network"]["lines"][0]["ratingmw"] = 9.0
+            raw["injections"][0]["probabilites"] = raw["injections"][0]["probabilities"]
+        assert main(["validate", "--config", str(write_config(tmp_path, mutate))]) == 2
+        assert "$.network.lines[0]: unknown fields ['name', 'ratingmw']" in capsys.readouterr().err
+        # the bundled studies carry a top-level description, which stays accepted
+        assert "description" in json.loads(builtin_config_path("three_bus").read_text())
+        assert main(["validate", "--config", str(builtin_config_path("three_bus"))]) == 0
+
     def test_integral_float_fields_accepted(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw["analysis"].update(seed=7.0, shots_per_round=100.0))
         assert load_config(path).analysis == load_config(builtin_config_path("three_bus")).analysis
@@ -530,6 +561,30 @@ class TestCli:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_qubit_limit_is_one_error_with_one_message(self, tmp_path, capsys):
+        raw = ring_study(12)  # 24 qubits
+        config = parse_config(raw)
+        h_row, dists = _analysis_inputs(config)
+        message = "24 qubits (16777216 joint states), at most 20 supported"
+        refusals = [
+            lambda: build_pipeline_operator(h_row, dists, "mean"),
+            lambda: exact_line_distribution(h_row, dists),
+            lambda: stage_state(config, "psi"),
+        ]
+        for refuse in refusals:
+            with pytest.raises(EnumerationBoundError, match=re.escape(message)):
+                refuse()
+        with pytest.raises(EnumerationBoundError, match="21 qubits"):
+            StateVector(21, [1.0])
+        assert issubclass(EnumerationBoundError, ConfigurationError)
+        # gridqmc run reports the same refusal whichever methods run
+        for methods in ("iqae", "exact", "cmc"):
+            raw["analysis"]["methods"] = [methods]
+            path = tmp_path / f"{methods}.json"
+            path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+            assert message in capsys.readouterr().err
 
     def test_histogram_command(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -29,7 +29,7 @@ from gridqmc import (
 from gridqmc import estimation
 from gridqmc.estimation import GroverIterate, build_grover_iterate
 from gridqmc.flowmap import LevelCompletion, PipelineOperator, build_pipeline_operator, line_levels
-from gridqmc.injection import prep_reflections, reflect_axes
+from gridqmc.injection import _UPDATE_ELEMENTS, prep_reflections, reflect_axes
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
 from tests.conftest import nine_qubit_ring, synthetic_grid
@@ -135,6 +135,71 @@ def test_state_prep_matches_kronecker_product():
     assert np.max(np.abs(got - dense)) < 1e-12
 
 
+def forecasts(sizes, point_mass=None):
+    """Random forecasts with ``sizes`` levels; bus ``point_mass`` is certain to be at its first level."""
+    rng = np.random.default_rng(5)
+    probs = [rng.dirichlet(np.ones(n)) for n in sizes]
+    if point_mass is not None:
+        probs[point_mass] = np.eye(sizes[point_mass])[0]
+    return [InjectionDistribution(bus=b, values_mw=np.arange(len(p)), probabilities=p)
+            for b, p in enumerate(probs, start=1)]
+
+
+@pytest.mark.parametrize("sizes, point_mass, widths", [
+    ([2, 4, 1, 2, 8, 2], 3, [16, 16]),  # the point mass reflects nothing
+    ([4, 4, 4, 4, 2], None, [16, 16, 2]),
+    ([2, 32, 4, 2], 1, [2, 32, 8]),  # a bus over the fused width is a factor of its own
+])
+def test_fused_prep_factors_match_the_kronecker_product(sizes, point_mass, widths):
+    encs = [encode(d) for d in forecasts(sizes, point_mass)]
+    factors = prep_reflections(encs)
+    assert [len(f) for f in factors] == widths
+    dim = math.prod(sizes)
+    dense = np.eye(1)
+    for enc in encs:
+        dense = np.kron(dense, state_prep_unitary(enc).entries)
+    if point_mass is not None:
+        assert np.array_equal(state_prep_unitary(encs[point_mass]).entries, np.eye(sizes[point_mass]))
+    got = materialize(lambda x: reflect_axes(factors, x.copy()), dim)
+    assert np.max(np.abs(got - dense)) < 1e-12
+    # a block goes through column by column, and the product is its own adjoint
+    block = np.random.default_rng(1).standard_normal((dim, 3))
+    by_column = np.column_stack([reflect_axes(factors, block[:, j].copy()) for j in range(3)])
+    assert np.max(np.abs(reflect_axes(factors, block.copy()) - by_column)) <= 1e-13
+    assert np.max(np.abs(got - got.T)) <= 1e-15
+
+
+def test_fused_prep_block_through_the_operator_in_either_order():
+    # six buses of 2, 4, 1, 2, 8 and 2 levels: the fused factors end on a bus boundary
+    dists = forecasts([2, 4, 1, 2, 8, 2], point_mass=3)
+    op, _, _ = build_pipeline_operator(np.array([0.3, -0.25, 0.1, 0.7, -0.5, 0.2]), dists, "mean")
+    block = np.random.default_rng(2).standard_normal((op.dim, 3))
+    for f in (op.apply, op.apply_adjoint):
+        by_column = np.column_stack([f(block[:, j]) for j in range(3)])
+        for x in (block, np.asfortranarray(block)):
+            kept = x.copy()
+            assert np.max(np.abs(f(x) - by_column)) <= 1e-13
+            assert np.array_equal(x, kept)
+
+
+def test_reflect_axes_temporaries_stay_within_the_update_size():
+    _, dists = synthetic_grid(8)  # 16 qubits, four fused 16-level factors
+    factors = prep_reflections([encode(d) for d in dists])
+    block = np.random.default_rng(0).standard_normal((2**16, 3))  # 1.5 MiB
+    expected, left = block.copy(), 1
+    for f in factors:  # each factor on its whole axis at once
+        expected = np.einsum("ij,ljr->lir", f, expected.reshape(left, len(f), -1)).reshape(block.shape)
+        left *= len(f)
+    tracemalloc.start()
+    try:
+        reflect_axes(factors, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _UPDATE_ELEMENTS + 2**14
+    assert np.max(np.abs(block - expected)) <= 1e-13
+
+
 def test_probe_rejects_a_non_unitary_operator():
     with pytest.raises(ConfigurationError, match="not unitary"):
         probe_unitary(lambda x: 1.001 * x, 8)
@@ -212,7 +277,8 @@ def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
 
 def test_build_and_grover_set_up_apply_the_operator_nine_times(monkeypatch):
     h_row, dists = synthetic_grid(4)
-    shapes = {"apply": [], "apply_adjoint": []}
+    # every application of A or A^T, public or from the Grover step, goes through these two
+    shapes = {"_forward": [], "_backward": []}
     for name, calls in shapes.items():
         method = getattr(PipelineOperator, name)
         monkeypatch.setattr(PipelineOperator, name,
@@ -222,8 +288,8 @@ def test_build_and_grover_set_up_apply_the_operator_nine_times(monkeypatch):
     block, vector = (op.dim, 3), (op.dim,)
     # build: one probe block each way; Grover set-up: one probe block through Q,
     # then A|0> and the two steps of the rotation check
-    assert shapes["apply"] == [block, block, vector, vector, vector]
-    assert shapes["apply_adjoint"] == [block, block, vector, vector]
+    assert shapes["_forward"] == [block, block, vector, vector, vector]
+    assert shapes["_backward"] == [block, block, vector, vector]
 
 
 @pytest.mark.parametrize("n_buses", [3, 4, 5])
