@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -25,17 +26,44 @@ _VALUE_TOL = 1e-9
 class ExactDistribution:
     """Exact distribution of the absolute line loading.
 
-    Values, mean and ``std`` are fractions of the line rating, the unit in
-    which the sample-count formula and epsilon are stated.
+    ``loading`` and ``mass`` are |loading| and probability per joint state, in
+    mixed-radix order with the first bus most significant.  Loadings, mean and
+    ``std`` are fractions of the line rating, the unit in which the
+    sample-count formula and epsilon are stated.  A joint state is overloaded
+    when its own |loading| >= threshold - 1e-9; a rule on the sorted levels
+    could differ only where a chain of distinct loadings less than 1e-9 apart
+    straddles threshold - 1e-9.  The sorted levels, ``values`` and
+    ``probabilities`` (zero-mass states dropped), are computed on first access.
     """
 
-    values: np.ndarray
-    probabilities: np.ndarray
+    loading: np.ndarray
+    mass: np.ndarray
     mean: float
     std: float
 
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        keep = self.mass > 0.0
+        loading = self.loading[keep]
+        order = np.argsort(loading)
+        loading = loading[order]
+        # equal loadings back in enumeration order: the stable sort's order, whatever the sort
+        run = np.zeros(len(loading), dtype=np.int64)
+        np.not_equal(loading[1:], loading[:-1], out=run[1:])
+        np.cumsum(run, out=run)
+        run *= len(loading)
+        order = np.sort(run + order) - run
+        mass = self.mass[keep][order]
+        # a level is a chain of sorted values whose consecutive gaps are within the tolerance
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))
+        probs = np.add.reduceat(mass, starts)
+        return np.add.reduceat(loading * mass, starts) / probs, probs
+
+    values = property(lambda self: self._levels[0])
+    probabilities = property(lambda self: self._levels[1])
+
     def overload_probability(self, threshold: float) -> float:
-        return float(self.probabilities[self.values >= threshold - THRESHOLD_TOL].sum())
+        return float(self.mass[self.loading >= threshold - THRESHOLD_TOL].sum())
 
     def metric(self, metric: str, threshold: float | None = None) -> float:
         if metric == "mean":
@@ -50,7 +78,7 @@ class ExactDistribution:
 def exact_line_distribution(
     h_row: np.ndarray, distributions: list[InjectionDistribution]
 ) -> ExactDistribution:
-    """Enumerate every joint bin and accumulate mass per distinct |loading|."""
+    """Enumerate every joint bin: |loading| and mass per joint state, unsorted."""
     h_row = np.asarray(h_row, dtype=float)
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
@@ -62,25 +90,10 @@ def exact_line_distribution(
     for h, dist in zip(h_row, distributions):
         loading = np.add.outer(loading, h * dist.values_mw).ravel()
         mass = np.multiply.outer(mass, dist.probabilities).ravel()
-    keep = mass > 0.0
-    loading = np.abs(loading[keep])
-    order = np.argsort(loading)
-    loading = loading[order]
-    # equal loadings back in enumeration order: the stable sort's order, whatever the sort
-    run = np.zeros(len(loading), dtype=np.int64)
-    np.not_equal(loading[1:], loading[:-1], out=run[1:])
-    np.cumsum(run, out=run)
-    run *= len(loading)
-    order = np.sort(run + order) - run
-    mass = mass[keep][order]
-    # a level is a chain of sorted values whose consecutive gaps are within the tolerance
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))
-    probs_arr = np.add.reduceat(mass, starts)
-    values_arr = np.add.reduceat(loading * mass, starts) / probs_arr
-    mean = float(values_arr @ probs_arr)
-    var = float(((values_arr - mean) ** 2) @ probs_arr)
-    std = math.sqrt(max(var, 0.0))
-    return ExactDistribution(values=values_arr, probabilities=probs_arr, mean=mean, std=std)
+    np.abs(loading, out=loading)
+    mean = float(loading @ mass)
+    std = math.sqrt(float(((loading - mean) ** 2) @ mass))
+    return ExactDistribution(loading=loading, mass=mass, mean=mean, std=std)
 
 
 def _critical_value(alpha: float) -> float:

@@ -71,11 +71,18 @@ def run_analysis(config: PipelineConfig) -> RunReport:
     results: dict[str, EstimationResult] = {}
     exact_value = None
     if "exact" in an.methods or "cmc" in an.methods:
-        # one enumeration serves the exact result and the Monte Carlo budget
+        # one enumeration serves exact and cmc (cmc draws from its own generator), and
+        # it is released before the quantum path builds its operator
         exact = exact_line_distribution(h_row, distributions)
-    if "exact" in an.methods:
-        exact_value = exact.metric(an.metric, threshold)
-        results["exact"] = EstimationResult.point("exact", exact_value, an.epsilon, an.alpha, None)
+        if "exact" in an.methods:
+            exact_value = exact.metric(an.metric, threshold)
+            results["exact"] = EstimationResult.point("exact", exact_value, an.epsilon, an.alpha, None)
+        if "cmc" in an.methods:
+            results["cmc"] = classical_mc(
+                h_row, distributions, an.metric, an.epsilon, an.alpha,
+                rng_seed=an.seed + 1, threshold=threshold, exact=exact,
+            )
+        del exact
 
     if "iqae" in an.methods:
         pipeline, _, estimator = build_pipeline_operator(
@@ -88,12 +95,6 @@ def run_analysis(config: PipelineConfig) -> RunReport:
             grover = build_grover_iterate(pipeline)
             raw = iqae(grover, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
             results["iqae"] = rescale(raw, estimator.scaling)
-
-    if "cmc" in an.methods:
-        results["cmc"] = classical_mc(
-            h_row, distributions, an.metric, an.epsilon, an.alpha,
-            rng_seed=an.seed + 1, threshold=threshold, exact=exact,
-        )
 
     sample_ratio = None
     if "iqae" in results and "cmc" in results and results["cmc"].shots_total > 0:

@@ -18,7 +18,7 @@ from gridqmc import (
 from gridqmc.classical import _critical_value
 from gridqmc.errors import EnumerationBoundError
 from gridqmc.runner import _analysis_inputs
-from tests.conftest import FORECAST_PROBS, random_distribution
+from tests.conftest import FORECAST_PROBS, random_distribution, synthetic_grid
 
 
 def forecast(bus):
@@ -53,22 +53,30 @@ def enumerate_states(h_row, dists, tol=1e-9):
     return values, probs, mean, math.sqrt(((values - mean) ** 2) @ probs)
 
 
-def stable_sort_reference(h_row, dists, tol=1e-9):
-    """The oracle's enumeration with a stable argsort: equal loadings keep
-    their enumeration order, so every level sums its mass in that order."""
+def joint_states(h_row, dists):
+    """|loading| and mass of every joint state, first bus most significant."""
     loading, mass = np.zeros(1), np.ones(1)
     for h, d in zip(h_row, dists):
         loading = np.add.outer(loading, h * d.values_mw).ravel()
         mass = np.multiply.outer(mass, d.probabilities).ravel()
+    return np.abs(loading), mass
+
+
+def stable_sort_reference(h_row, dists, tol=1e-9):
+    """The oracle's enumeration with a stable argsort: equal loadings keep
+    their enumeration order, so every level sums its mass in that order.
+    Mean and std are the direct sums over the joint states."""
+    loading, mass = joint_states(h_row, dists)
+    mean = float(loading @ mass)
+    std = math.sqrt(float(((loading - mean) ** 2) @ mass))
     keep = mass > 0.0
-    loading = np.abs(loading[keep])
+    loading, mass = loading[keep], mass[keep]
     order = np.argsort(loading, kind="stable")
-    loading, mass = loading[order], mass[keep][order]
+    loading, mass = loading[order], mass[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > tol) + 1))
     probs = np.add.reduceat(mass, starts)
     values = np.add.reduceat(loading * mass, starts) / probs
-    mean = float(values @ probs)
-    return values, probs, mean, math.sqrt(max(float(((values - mean) ** 2) @ probs), 0.0))
+    return values, probs, mean, std
 
 
 @st.composite
@@ -107,6 +115,29 @@ class TestExactDistribution:
         assert np.array_equal(ex.values, values)
         assert np.array_equal(ex.probabilities, probs)
         assert (ex.mean, ex.std) == (mean, std)
+
+    @given(tied_grids())
+    @settings(max_examples=150, deadline=None)
+    def test_overload_sums_states_over_threshold(self, grid):
+        # thresholds on every loading and on the 0.1 grid the tied loadings sit on
+        h_row, dists = grid
+        ex = exact_line_distribution(h_row, dists)
+        loading, mass = joint_states(h_row, dists)
+        for t in (*np.unique(loading), *(k * 0.1 for k in range(-1, 202))):
+            assert ex.overload_probability(t) == mass[loading >= t - 1e-9].sum()
+
+    def test_metric_path_sorts_nothing(self):
+        # 2^20 joint states: |loading| and mass take 8 MiB each; the sort onto levels peaks near 64 MiB
+        h_row, dists = synthetic_grid(10)
+        tracemalloc.start()
+        try:
+            ex = exact_line_distribution(h_row, dists)
+            ex.metric("overload", 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert "_levels" not in vars(ex)
 
     def test_bound_checked_before_enumerating(self):
         # 2^21 joint states: one enumerated array alone would take 16 MiB
