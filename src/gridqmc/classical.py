@@ -32,14 +32,17 @@ class ExactDistribution:
     sample-count formula and epsilon are stated.  A joint state is overloaded
     when its own |loading| >= threshold - 1e-9; a rule on the sorted levels
     could differ only where a chain of distinct loadings less than 1e-9 apart
-    straddles threshold - 1e-9.  The sorted levels, ``values`` and
+    straddles threshold - 1e-9.  ``std``, and the sorted levels ``values`` and
     ``probabilities`` (zero-mass states dropped), are computed on first access.
     """
 
     loading: np.ndarray
     mass: np.ndarray
     mean: float
-    std: float
+
+    @cached_property
+    def std(self) -> float:
+        return math.sqrt(float(((self.loading - self.mean) ** 2) @ self.mass))
 
     @cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +88,18 @@ def exact_line_distribution(
     n_qubits = sum(dist.n_qubits for dist in distributions)
     check_qubit_count(n_qubits)
 
-    # mixed radix over the joint states, first bus most significant
+    # mixed radix over the joint states, first bus most significant; one ufunc
+    # call per column, as an outer product's k-wide inner loop runs k at a time
     loading, mass = np.zeros(1), np.ones(1)
     for h, dist in zip(h_row, distributions):
-        loading = np.add.outer(loading, h * dist.values_mw).ravel()
-        mass = np.multiply.outer(mass, dist.probabilities).ravel()
+        next_loading = np.empty((len(loading), len(dist.values_mw)))
+        next_mass = np.empty_like(next_loading)
+        for j, (value, prob) in enumerate(zip(h * dist.values_mw, dist.probabilities)):
+            np.add(loading, value, out=next_loading[:, j])
+            np.multiply(mass, prob, out=next_mass[:, j])
+        loading, mass = next_loading.ravel(), next_mass.ravel()
     np.abs(loading, out=loading)
-    mean = float(loading @ mass)
-    std = math.sqrt(float(((loading - mean) ** 2) @ mass))
-    return ExactDistribution(loading=loading, mass=mass, mean=mean, std=std)
+    return ExactDistribution(loading=loading, mass=mass, mean=float(loading @ mass))
 
 
 def _critical_value(alpha: float) -> float:
@@ -112,6 +118,16 @@ def required_samples(sigma_n: float, epsilon: float, alpha: float) -> int:
         raise ConfigurationError("epsilon must be > 0")
     z = _critical_value(alpha)
     return int(round(z**2 * sigma_n**2 / epsilon**2))
+
+
+def _draw_loading(rng: np.random.Generator, h_row: np.ndarray, distributions, n: int) -> np.ndarray:
+    """``n`` draws of |loading|: per bus, ``rng.choice(values, n, p=p)``'s inverse CDF without its checks."""
+    loading = np.zeros(n)
+    for h, dist in zip(h_row, distributions):
+        cdf = dist.probabilities.cumsum()
+        cdf /= cdf[-1]
+        loading += (h * dist.values_mw)[cdf.searchsorted(rng.random(n), side="right")]
+    return np.abs(loading, out=loading)
 
 
 def classical_mc(
@@ -140,13 +156,7 @@ def classical_mc(
     if n == 0:
         return EstimationResult.point("cmc", value, epsilon, alpha, rng_seed)
 
-    rng = np.random.default_rng(rng_seed)
-    h_row = np.asarray(h_row, dtype=float)
-    loading = np.zeros(n)
-    for h, dist in zip(h_row, distributions):
-        draws = rng.choice(dist.values_mw, size=n, p=dist.probabilities)
-        loading += h * draws
-    loading = np.abs(loading)
+    loading = _draw_loading(np.random.default_rng(rng_seed), np.asarray(h_row, float), distributions, n)
     samples = loading if metric == "mean" else (loading >= threshold - THRESHOLD_TOL).astype(float)
 
     estimate = float(samples.mean())

@@ -70,17 +70,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.config}: OK")
             return EXIT_OK
         if args.command == "run":
-            report = run_analysis(config)
-            text = report.to_json()
-            if args.out:
+            text = run_analysis(config).to_json()
+            if not args.out:
+                print(text)
+                return EXIT_OK
+        try:
+            if args.command == "run":
                 Path(args.out).write_text(text + "\n")
             else:
-                print(text)
-            return EXIT_OK
-        # histogram
-        seed = args.seed if args.seed is not None else config.analysis.seed
-        out = export_histogram(config, args.stage, args.shots, seed, args.out)
-        print(f"wrote {out}")
+                seed = args.seed if args.seed is not None else config.analysis.seed
+                print(f"wrote {export_histogram(config, args.stage, args.shots, seed, args.out)}")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         return EXIT_OK
     except EstimationFailureError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)

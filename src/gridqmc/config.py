@@ -44,9 +44,11 @@ class AnalysisSettings:
             raise ConfigurationError("analysis.shots_per_round: must be at least 1")
         if not self.seed >= 0:
             raise ConfigurationError("analysis.seed: must be non-negative")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in VALID_METHODS:
                 raise ConfigurationError(f"analysis.methods: unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ConfigurationError(f"analysis.methods: duplicate method {m!r}")
         if not self.methods:
             raise ConfigurationError("analysis.methods: must not be empty")
         if "iqae" in self.methods and not self.epsilon < IQAE_MAX_EPSILON:

@@ -15,7 +15,8 @@ from gridqmc import (
     load_config,
     required_samples,
 )
-from gridqmc.classical import _critical_value
+from gridqmc import classical
+from gridqmc.classical import _critical_value, _draw_loading
 from gridqmc.errors import EnumerationBoundError
 from gridqmc.runner import _analysis_inputs
 from tests.conftest import FORECAST_PROBS, random_distribution, synthetic_grid
@@ -60,6 +61,14 @@ def joint_states(h_row, dists):
         loading = np.add.outer(loading, h * d.values_mw).ravel()
         mass = np.multiply.outer(mass, d.probabilities).ravel()
     return np.abs(loading), mass
+
+
+def choice_loading(rng, h_row, dists, n):
+    """|loading| at ``n`` draws, each bus drawn by ``Generator.choice``."""
+    loading = np.zeros(n)
+    for h, d in zip(h_row, dists):
+        loading += h * rng.choice(d.values_mw, size=n, p=d.probabilities)
+    return np.abs(loading)
 
 
 def stable_sort_reference(h_row, dists, tol=1e-9):
@@ -123,6 +132,8 @@ class TestExactDistribution:
         h_row, dists = grid
         ex = exact_line_distribution(h_row, dists)
         loading, mass = joint_states(h_row, dists)
+        assert np.array_equal(ex.loading, loading)
+        assert np.array_equal(ex.mass, mass)
         for t in (*np.unique(loading), *(k * 0.1 for k in range(-1, 202))):
             assert ex.overload_probability(t) == mass[loading >= t - 1e-9].sum()
 
@@ -138,6 +149,7 @@ class TestExactDistribution:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
         assert "_levels" not in vars(ex)
+        assert "std" not in vars(ex)
 
     def test_bound_checked_before_enumerating(self):
         # 2^21 joint states: one enumerated array alone would take 16 MiB
@@ -266,6 +278,32 @@ class TestClassicalMc:
         alone = classical_mc(*args, rng_seed=0, threshold=0.9)
         assert classical_mc(*args, rng_seed=0, threshold=0.9, exact=exact) == alone
         assert alone.ci_low <= 0.4 <= alone.ci_high
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_draws_equal_generator_choice(self, seed):
+        # buses of 1, 2, 4 and 32 levels, zero-probability levels among them; a one-level
+        # bus still spends its n uniforms, so every later bus sees choice's stream
+        rng = np.random.default_rng(seed)
+        dists = []
+        for bus, k in enumerate((1, 2, 4, 32, 4, 1, 2)):
+            weights = rng.random(k) * (rng.random(k) < 0.7)
+            weights[rng.integers(k)] += 0.1
+            dists.append(InjectionDistribution(bus, np.sort(rng.choice(200, k, replace=False)) * 0.5,
+                                               weights / weights.sum()))
+        h_row = rng.uniform(-1, 1, len(dists))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 5, 1000, 1000):  # consecutive calls on one generator
+            assert np.array_equal(_draw_loading(ours, h_row, dists, n), choice_loading(ref, h_row, dists, n))
+
+    @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
+    @pytest.mark.parametrize("metric", ["mean", "overload"])
+    def test_result_equals_choice_reference(self, name, metric, monkeypatch):
+        h_row, dists = _analysis_inputs(load_config(builtin_config_path(name)))
+        args = (h_row, dists, metric, 0.01, 0.05)
+        kwargs = dict(rng_seed=3, threshold=0.9 if metric == "overload" else None)
+        result = classical_mc(*args, **kwargs)
+        monkeypatch.setattr(classical, "_draw_loading", choice_loading)
+        assert result == classical_mc(*args, **kwargs)
 
     def test_seed_reproducibility(self):
         dists = [forecast(1), forecast(2)]

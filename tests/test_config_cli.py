@@ -517,6 +517,32 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["exact_value"] is not None
 
+    @pytest.mark.parametrize("command", [["run", "--methods", "exact"], ["histogram", "--stage", "psi"]],
+                             ids=["run", "histogram"])
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
+    def test_unwritable_out_refused(self, command, missing_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.out" if missing_dir else tmp_path
+        code = main([*command, "--config", str(builtin_config_path("three_bus")), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("methods, duplicate", [("cmc,cmc", "cmc"), ("exact,cmc,exact", "exact")])
+    def test_run_refuses_duplicate_methods(self, methods, duplicate, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["run", "--config", str(builtin_config_path("three_bus")),
+                     "--methods", methods, "--out", str(out)])
+        assert code == 2
+        assert f"analysis.methods: duplicate method '{duplicate}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_refuses_duplicate_methods(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(methods=["iqae", "exact", "iqae"]))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "analysis.methods: duplicate method 'iqae'" in capsys.readouterr().err
+
     def test_run_seed_override_deterministic(self, tmp_path):
         args = [
             "run", "--config", str(builtin_config_path("three_bus")),
