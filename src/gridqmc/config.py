@@ -173,6 +173,8 @@ def load_config(path: str | Path, analysis_overrides: dict | None = None) -> Pip
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     if analysis_overrides and isinstance(raw, dict) and isinstance(raw.get("analysis"), dict):
         raw["analysis"].update(analysis_overrides)
     return parse_config(raw, source=str(path))

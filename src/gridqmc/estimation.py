@@ -1,10 +1,11 @@
 """Iterative amplitude estimation over simulated measurement shots.
 
 The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
-basis-state phase flips.  :func:`build_grover_iterate` applies it as
-operator calls on a structured :class:`PipelineOperator`;
-:func:`build_grover` assembles it as a dense unitary from a
-:class:`PipelineUnitary` and serves as the small-n oracle.  Estimation
+basis-state phase flips.  :func:`build_grover_iterate` steps W = S0 A^T Sg A,
+as Q^k A|0> = A W^k|0>, on a structured :class:`PipelineOperator`: state prep,
+level reflections, one rank-1 reflection, level reflections, state prep and
+S0, no permutation or metric reflection.  :func:`build_grover` assembles Q as
+a dense unitary from a :class:`PipelineUnitary`, the small-n oracle.  Estimation
 maintains a confidence interval on the rotation angle, adaptively raising
 the Grover power whenever the scaled interval still fits in one half-plane,
 and tightens it with Clopper-Pearson binomial intervals on seeded shot
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
 from .flowmap import PipelineOperator, PipelineUnitary
-from .simulator import StateVector, UnitaryMatrix, probability_of, probe_unitary
+from .simulator import UnitaryMatrix, probe_unitary
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -38,33 +39,28 @@ IQAE_MAX_EPSILON = 0.25
 class _GroverSteps:
     """What :func:`iqae` needs of an amplification operator for the target state.
 
-    A subclass provides ``a_op``, the pipeline operator A, ``prepared``,
-    A|0>, and ``step``, one application of Q = A S0 A^T Sg.
+    A subclass provides ``a_op``, the pipeline operator A, ``start``, the
+    vector at power 0, ``step``, and ``good_probability(k)``, the probability
+    of the good state in Q^k A|0>.
     """
 
     @property
     def good_state_index(self) -> int:
         return self.a_op.good_state_index
 
-    @property
-    def theta(self) -> float:
-        """Rotation angle, amplitude = sin(theta)."""
-        amp = self.prepared[self.good_state_index]
-        return float(np.arcsin(np.clip(abs(amp), 0.0, 1.0)))
-
-    def amplified_state(self, k: int) -> StateVector:
-        """Q^k A|0>, stepped on from the highest power computed so far if that is at most k.
+    def _power(self, k: int) -> np.ndarray:
+        """The vector at power k, stepped on from the highest power computed so far if that is at most k.
 
         IQAE thus repeats no step of the rotation check or of its own earlier rounds.
         """
-        highest = self.__dict__.get("_highest", (0, self.prepared))
-        done, x = highest if highest[0] <= k else (0, self.prepared)
+        highest = self.__dict__.get("_highest", (0, self.start))
+        done, x = highest if highest[0] <= k else (0, self.start)
         for _ in range(k - done):
             x = self.step(x)
         if k >= highest[0]:
             # kept beside the fields of the frozen dataclass, as cached_property does
             self.__dict__["_highest"] = (k, x)
-        return StateVector(len(x).bit_length() - 1, x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -75,31 +71,39 @@ class GroverOperator(_GroverSteps):
     a_op: PipelineUnitary
 
     @property
-    def prepared(self) -> np.ndarray:
-        return self.a_op.a.entries[:, 0]
+    def start(self) -> np.ndarray:
+        return self.a_op.a.entries[:, 0]  # A|0>
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.q.entries @ x
 
+    def good_probability(self, k: int) -> float:
+        return float(self._power(k)[self.good_state_index] ** 2)
+
 
 @dataclass(frozen=True)
 class GroverIterate(_GroverSteps):
-    """Amplification operator applied as calls to a structured pipeline operator."""
+    """Amplification operator as steps of W = S0 A^T Sg A on the structured pipeline operator."""
 
     a_op: PipelineOperator
 
     @cached_property
-    def prepared(self) -> np.ndarray:
-        """A|0>, computed on first use."""
-        return self.a_op.prepared()
+    def start(self) -> np.ndarray:
+        return np.eye(1, self.a_op.dim)[0]  # |0>
+
+    @cached_property
+    def _readout(self) -> np.ndarray:
+        """r = A^T e_g = B^T u, computed on first use."""
+        return self.a_op._from_frame(self.a_op.good_axis.copy())
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Q x = A S0 A^T Sg x for a vector or each column of a block; each phase flip negates one row."""
-        y = self.a_op._own(x)  # the one copy of the step, overwritten by the operator calls
-        y[self.good_state_index] = -y[self.good_state_index]
-        y = self.a_op._backward(y)
+        """W x for a vector or each column of a block; S0 negates row 0."""
+        y = self.a_op._reflect_good(self.a_op._own(x))  # the one copy of the step, overwritten in place
         y[0] = -y[0]
-        return self.a_op._forward(y)
+        return y
+
+    def good_probability(self, k: int) -> float:
+        return float((self._readout @ self._power(k)) ** 2)  # (r . W^k|0>)^2
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,10 @@ class EstimationResult:
 
 def _check_rotation(op: GroverOperator | GroverIterate) -> None:
     """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
-    theta = op.theta
+    theta = math.asin(min(math.sqrt(op.good_probability(0)), 1.0))
     for k in range(3):
-        state = op.amplified_state(k)
         expected = math.sin((2 * k + 1) * theta) ** 2
-        got = probability_of(state, op.good_state_index)
+        got = op.good_probability(k)
         if abs(got - expected) > _PHASE_CHECK_TOL:
             raise ConfigurationError(
                 f"Grover rotation identity violated at k={k}: {got} vs {expected}"
@@ -161,9 +164,9 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
-    """Structured Grover iterate, probed for unitarity (before A|0> is held) and the rotation identity."""
+    """Structured Grover iterate, probed for unitarity (reusing the build's block) and the rotation identity."""
     op = GroverIterate(a_op=a)
-    probe_unitary(op.step, a.dim)
+    probe_unitary(op.step, a.dim, probes=a.__dict__.pop("_probes", None))
     _check_rotation(op)
     return op
 
@@ -300,7 +303,8 @@ def iqae(
     a_l, a_u = 0.0, 1.0
     upper_half = True
     k = 0
-    state = g.amplified_state(0)
+    # a certain event can come out a few ulps above 1
+    p_good = min(g.good_probability(0), 1.0)
     shots_total = 0
     oracle_applications = 0
     round_shots = 0
@@ -315,13 +319,11 @@ def iqae(
         rounds += 1
         k_next, upper_half = _find_next_k(k, upper_half, (theta_l, theta_u))
         if k_next != k:
-            state = g.amplified_state(k_next)
             k = k_next
+            p_good = min(g.good_probability(k), 1.0)
             round_shots = 0
             round_ones = 0
 
-        # a certain event can come out a few ulps above 1
-        p_good = min(probability_of(state, g.good_state_index), 1.0)
         ones = int(rng.binomial(shots_per_round, p_good))
         shots_total += shots_per_round
         oracle_applications += shots_per_round * (2 * k + 1)

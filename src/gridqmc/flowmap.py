@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -444,18 +445,18 @@ class LevelCompletion:
 
 @dataclass(frozen=True)
 class PipelineOperator:
-    """The pipeline operator A = H C prep, kept as factors and applied as calls.
+    """The pipeline operator A = H P R prep = H P B, kept as factors and applied as calls.
 
     ``prep`` is the Kronecker product of the per-bus state-prep reflections,
-    held as the few fused factors of
-    :func:`~gridqmc.injection.prep_reflections` and applied by
-    :func:`~gridqmc.injection.reflect_axes`, ``C`` the
-    :class:`LevelCompletion` and ``H`` the rank-1 metric reflection.  Same
-    contract as :class:`PipelineUnitary`: the amplitude of
-    ``good_state_index`` in ``A|0>`` is the metric on the amplitude scale.
-    ``apply`` and ``apply_adjoint`` take a vector or a ``(dim, m)`` block of
-    columns and leave it unchanged; C reflects only levels of more than one
-    state.
+    held as the few fused factors of :func:`~gridqmc.injection.prep_reflections`
+    and applied by :func:`~gridqmc.injection.reflect_axes`, P R the
+    :class:`LevelCompletion` and H the rank-1 metric reflection.  The Grover
+    iterate works in the frame of B = R prep: A^T Sg A = B^T (I - 2 u u^T) B
+    for u = P^T H e_g.  Same contract as :class:`PipelineUnitary`: the
+    amplitude of ``good_state_index`` in ``A|0>`` is the metric on the
+    amplitude scale.  ``apply`` and ``apply_adjoint`` take a vector or a
+    ``(dim, m)`` block of columns and leave it unchanged; R reflects only
+    levels of more than one state.
     """
 
     prep: tuple  # the factors of prep_reflections
@@ -477,34 +478,38 @@ class PipelineOperator:
         return self.dim - 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
-        return self._forward(self._own(x))
+        """A x = H P B x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
+        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, self._own(x))))
+        return _reflect(y, self.h_vector, self.h_gain)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """A^T x; every factor but the permutation is symmetric."""
-        return self._backward(self._own(x))
+        """A^T x = B^T P^T H x; every factor but the permutation is symmetric."""
+        return self._from_frame(self.completion.unpermute(_reflect(self._own(x), self.h_vector, self.h_gain)))
 
     def _own(self, x: np.ndarray) -> np.ndarray:
-        """``x``, checked for length, as a new C-contiguous float64 array for ``_forward`` or ``_backward``."""
+        """``x``, checked for length, as a new C-contiguous float64 array to be overwritten in place."""
         if len(x) != self.dim:
             raise ConfigurationError("state length does not match the operator")
         return np.array(x, dtype=float, order="C")
 
-    def _forward(self, y: np.ndarray) -> np.ndarray:
-        """A y; overwrites ``y``, an array that ``_own`` made."""
-        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, y)))
-        return _reflect(y, self.h_vector, self.h_gain)
-
-    def _backward(self, y: np.ndarray) -> np.ndarray:
-        """A^T y; overwrites ``y``, an array that ``_own`` made."""
-        y = self.completion.unpermute(_reflect(y, self.h_vector, self.h_gain))
+    def _from_frame(self, y: np.ndarray) -> np.ndarray:
+        """B^T y = prep R y, in place."""
         return reflect_axes(self.prep, self.completion.reflect(y))
+
+    @cached_property
+    def good_axis(self) -> np.ndarray:
+        """The unit vector u = P^T H e_g, computed on first use."""
+        e_g = np.eye(1, self.dim, self.good_state_index)[0]
+        return self.completion.unpermute(_reflect(e_g, self.h_vector, self.h_gain))
+
+    def _reflect_good(self, y: np.ndarray) -> np.ndarray:
+        """A^T Sg A y = B^T (I - 2 u u^T) B y, where Sg negates the good state; overwrites ``y``."""
+        y = self.completion.reflect(reflect_axes(self.prep, y))
+        return self._from_frame(_reflect(y, self.good_axis, 2.0))
 
     def prepared(self) -> np.ndarray:
         """A|0>."""
-        e0 = np.zeros(self.dim)
-        e0[0] = 1.0
-        return self._forward(e0)
+        return self.apply(np.eye(1, self.dim)[0])
 
 
 def build_pipeline_operator(
@@ -517,8 +522,9 @@ def build_pipeline_operator(
     """Structured counterpart of :func:`build_line_pipeline`; no dense matrix.
 
     Returns ``(operator, levels, estimator)``; the operator is ``None`` when
-    the estimator is degenerate.  Seeded probes check ``||A x|| = ||x||``
-    and ``A^T A x = x`` in place of a dense unitarity residual.
+    the estimator is degenerate.  Seeded probes check ``||A x|| = ||x||`` and
+    ``A^T A x = x`` in place of a dense unitarity residual; their block is
+    left beside the fields for :func:`~gridqmc.estimation.build_grover_iterate`.
     """
     encodings = tuple(encode(d) for d in distributions)
     n_qubits = sum(enc.n_qubits for enc in encodings)
@@ -535,5 +541,5 @@ def build_pipeline_operator(
         h_gain=h_gain,
         scaling=estimator.scaling,
     )
-    probe_unitary(op.apply, op.dim, op.apply_adjoint)
+    op.__dict__["_probes"] = probe_unitary(op.apply, op.dim, op.apply_adjoint)
     return op, levels, estimator

@@ -97,7 +97,7 @@ def joint_state(encodings: list[EncodedInjection]) -> StateVector:
         raise ConfigurationError("need at least one encoding")
     amps = encodings[0].amplitudes
     for enc in encodings[1:]:
-        amps = np.kron(amps, enc.amplitudes)
+        amps = np.multiply.outer(amps, enc.amplitudes).ravel()
     n = sum(enc.n_qubits for enc in encodings)
     return StateVector(n, amps)
 
@@ -134,7 +134,7 @@ class _Reflection:
 def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray | _Reflection, ...]:
     """The state prep, the Kronecker product of every bus's :func:`state_prep_unitary`, as a few factors.
 
-    Adjacent buses share one dense factor, the ``np.kron`` of their
+    Adjacent buses share one dense factor, the Kronecker product of their
     reflections, while the fused axis has at most ``_FUSED_LEVELS`` levels:
     buses of 4, 4, 4, 4 and 2 levels give factors of 16, 16 and 2.  A bus of
     more levels is a factor of its own, kept as its rank-1 reflection.  Each
@@ -149,7 +149,8 @@ def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray 
         if len(w) > _FUSED_LEVELS:
             factors.append(_Reflection(w, gain * w))
         else:
-            fused = np.kron(fused, np.eye(len(w)) - gain * np.outer(w, w))
+            r = np.eye(len(w)) - gain * np.outer(w, w)  # joined by broadcasting, bit for bit np.kron(fused, r)
+            fused = (fused[:, None, :, None] * r[None, :, None, :]).reshape(len(fused) * len(r), -1)
     return tuple(f for f in [*factors, fused] if len(f) > 1)
 
 

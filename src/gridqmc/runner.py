@@ -152,13 +152,18 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
 def export_histogram(
     config: PipelineConfig, stage: str, shots: int, seed: int, path: str | Path
 ) -> Path:
-    """Write per-basis-state counts and exact probabilities as CSV."""
-    state = stage_state(config, stage)
-    counts = sample_counts(state, shots, seed)
-    probs = state.probabilities()
-    row = f"{{:0{state.n_qubits}b}},{{}},{{:.12g}}\n".format
+    """Write per-basis-state counts and exact probabilities as CSV; a refused stage leaves no file."""
     out = Path(path)
-    with out.open("w") as f:
+    with out.open("w") as f:  # opened first, so an unwritable path is refused before any work
+        try:
+            state = stage_state(config, stage)
+            counts = sample_counts(state, shots, seed)
+        except BaseException:
+            f.close()
+            out.unlink()
+            raise
+        probs = state.probabilities()
+        row = f"{{:0{state.n_qubits}b}},{{}},{{:.12g}}\n".format
         f.write("bitstring,count,exact_probability\n")
         f.writelines(map(row, range(state.dim), counts.tolist(), probs.tolist()))
     return out

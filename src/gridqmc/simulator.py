@@ -112,19 +112,22 @@ def probe_unitary(
     op: Callable[[np.ndarray], np.ndarray],
     dim: int,
     adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> None:
-    """Check a matrix-free operator on seeded random unit vectors.
+    probes: np.ndarray | None = None,
+) -> np.ndarray:
+    """Check a matrix-free operator on seeded random unit vectors and return them.
 
     The vectors are the columns of one ``(dim, _PROBE_COUNT)`` block, so
     ``op`` and ``adjoint`` must map a block column by column, as they map a
     vector.  Requires ``||U x|| = ||x||`` and, given the adjoint,
     ``U^T U x = x`` for every column within the unitarity tolerance: two
-    operator calls in place of the O(dim^3) dense check.
+    operator calls in place of the O(dim^3) dense check.  ``probes``, a
+    block that an earlier probe returned, replaces the seeded draw.
     """
-    rng = np.random.default_rng(_PROBE_SEED)
-    x = rng.standard_normal((_PROBE_COUNT, dim))
-    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    x = x.T  # one probe per column
+    if (x := probes) is None:
+        rng = np.random.default_rng(_PROBE_SEED)
+        x = rng.standard_normal((_PROBE_COUNT, dim))
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        x = x.T  # one probe per column
     ux = op(x)
     residual = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->j", ux, ux)) - 1.0)))
     if adjoint is not None:
@@ -132,6 +135,7 @@ def probe_unitary(
         residual = max(residual, float(np.max(np.abs(back, out=back))))
     if residual > _UNITARY_TOL:
         raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
+    return x
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -187,7 +187,7 @@ def test_criterion_8_structural_invariants(configs):
             apply(pipe.a, zero_state(pipe.a.n_qubits)), pipe.good_state_index
         )
         theta = math.asin(math.sqrt(a_true))
-        state = grover.amplified_state(0)
+        state = apply(pipe.a, zero_state(pipe.a.n_qubits))
         for k in range(6):
             if k > 0:
                 state = apply(grover.q, state)

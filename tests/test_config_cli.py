@@ -22,6 +22,7 @@ from gridqmc import (
     load_config,
     run_analysis,
 )
+from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.errors import EnumerationBoundError
@@ -89,6 +90,12 @@ class TestLoadConfig:
     def test_nonexistent_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    def test_file_that_is_not_text_refused(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match=f"cannot read {re.escape(str(path))}: "):
+            load_config(path)
 
 
 @st.composite
@@ -520,14 +527,38 @@ class TestCli:
     @pytest.mark.parametrize("command", [["run", "--methods", "exact"], ["histogram", "--stage", "psi"]],
                              ids=["run", "histogram"])
     @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
-    def test_unwritable_out_refused(self, command, missing_dir, tmp_path, capsys):
+    def test_unwritable_out_refused(self, command, missing_dir, tmp_path, capsys, monkeypatch):
+        calls = []  # the histogram's stage is never computed for a path it cannot write
+        monkeypatch.setattr(runner, "stage_state", lambda *a: calls.append(a) or stage_state(*a))
         out = tmp_path / "missing" / "r.out" if missing_dir else tmp_path
         code = main([*command, "--config", str(builtin_config_path("three_bus")), "--out", str(out)])
-        assert code == 2
+        assert code == 2 and calls == []
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    def test_histogram_opens_out_once_before_the_stage(self, tmp_path, monkeypatch):
+        out, opened, existed = tmp_path / "h.csv", [], []
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k))
+        monkeypatch.setattr(runner, "stage_state", lambda *a: existed.append(out.exists()) or stage_state(*a))
+        assert main(["histogram", "--config", str(builtin_config_path("three_bus")), "--stage", "psi",
+                     "--out", str(out)]) == 0
+        assert opened.count(out) == 1 and existed == [True]
+        assert out.read_text().startswith("bitstring,count,exact_probability\n")
+
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["histogram", "--stage", "psi"]],
+                             ids=["validate", "run", "histogram"])
+    def test_config_directory_refused(self, command, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        extra = ["--out", str(out)] if command[0] == "histogram" else []
+        code = main([*command, "--config", str(tmp_path), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("methods, duplicate", [("cmc,cmc", "cmc"), ("exact,cmc,exact", "exact")])
     def test_run_refuses_duplicate_methods(self, methods, duplicate, tmp_path, capsys):

@@ -40,22 +40,21 @@ def three_bus_grover():
 class TestGrover:
     def test_zero_amplitude(self):
         g = build_grover(rotation_oracle(0.0))
-        state = g.amplified_state(3)
-        assert probability_of(state, 1) == pytest.approx(0.0, abs=1e-12)
+        assert g.good_probability(3) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_amplitude(self):
         g = build_grover(rotation_oracle(1.0))
-        assert probability_of(g.amplified_state(0), 1) == pytest.approx(1.0)
+        assert g.good_probability(0) == pytest.approx(1.0)
 
     def test_quarter_amplitude_k1(self):
         # theta = pi/6: one amplification step reaches certainty
         g = build_grover(rotation_oracle(0.25))
-        assert probability_of(g.amplified_state(1), 1) == pytest.approx(1.0, abs=1e-12)
+        assert g.good_probability(1) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_identity_k_up_to_5(self, three_bus_grover):
         g, a_true = three_bus_grover
         theta = math.asin(math.sqrt(a_true))
-        state = g.amplified_state(0)
+        state = apply(g.a_op.a, zero_state(g.q.n_qubits))
         for k in range(6):
             if k > 0:
                 state = apply(g.q, state)

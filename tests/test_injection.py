@@ -96,6 +96,14 @@ class TestJointState:
             expected = np.outer(p1**2, p2**2).ravel()
             assert rescaled == pytest.approx(expected, abs=1e-12)
 
+    def test_equals_the_kron_fold_bitwise(self):
+        rng = np.random.default_rng(5)
+        encs = [encode(dist(rng.dirichlet(np.ones(n)), bus=b)) for b, n in enumerate([4, 2, 8, 1, 4], 1)]
+        expected = encs[0].amplitudes
+        for enc in encs[1:]:
+            expected = np.kron(expected, enc.amplitudes)
+        assert np.array_equal(joint_state(encs).amplitudes, expected)
+
 
 class TestStatePrep:
     def test_point_mass_gives_identity(self):

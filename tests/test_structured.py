@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,14 +22,13 @@ from gridqmc import (
     iqae,
     joint_state,
     load_config,
-    probability_of,
     state_prep_unitary,
     unitary_factorize,
     zero_state,
 )
-from gridqmc import estimation
+from gridqmc import estimation, flowmap, simulator
 from gridqmc.estimation import GroverIterate, build_grover_iterate
-from gridqmc.flowmap import LevelCompletion, PipelineOperator, build_pipeline_operator, line_levels
+from gridqmc.flowmap import LevelCompletion, build_pipeline_operator, line_levels
 from gridqmc.injection import _UPDATE_ELEMENTS, prep_reflections, reflect_axes
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
@@ -61,9 +61,8 @@ def check_against_dense(h_row, dists, metric, threshold=None):
 
     dense_grover = build_grover(dense)
     grover = build_grover_iterate(op)
-    for k in range(6):
-        dense_state, state = dense_grover.amplified_state(k), grover.amplified_state(k)
-        assert abs(probability_of(state, g) - probability_of(dense_state, g)) < 1e-10
+    for k in range(6):  # the dense operator reads its probability from Q^k A|0>
+        assert abs(grover.good_probability(k) - dense_grover.good_probability(k)) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
@@ -167,6 +166,18 @@ def test_fused_prep_factors_match_the_kronecker_product(sizes, point_mass, width
     by_column = np.column_stack([reflect_axes(factors, block[:, j].copy()) for j in range(3)])
     assert np.max(np.abs(reflect_axes(factors, block.copy()) - by_column)) <= 1e-13
     assert np.max(np.abs(got - got.T)) <= 1e-15
+    # each dense factor is bit for bit the np.kron fold of its group of adjacent buses
+    groups, fused = [], np.eye(1)
+    for enc in encs:
+        if len(fused) * len(enc.amplitudes) > 16 or len(enc.amplitudes) > 16:
+            groups.append(fused)
+            fused = np.eye(1)
+        if len(enc.amplitudes) <= 16:
+            fused = np.kron(fused, state_prep_unitary(enc).entries)
+    groups = [f for f in [*groups, fused] if len(f) > 1]
+    dense_factors = [f for f in factors if isinstance(f, np.ndarray)]
+    assert len(dense_factors) == len(groups)
+    assert all(np.array_equal(f, g) for f, g in zip(dense_factors, groups))
 
 
 def test_fused_prep_block_through_the_operator_in_either_order():
@@ -277,19 +288,47 @@ def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
 
 def test_build_and_grover_set_up_apply_the_operator_nine_times(monkeypatch):
     h_row, dists = synthetic_grid(4)
-    # every application of A or A^T, public or from the Grover step, goes through these two
-    shapes = {"_forward": [], "_backward": []}
-    for name, calls in shapes.items():
-        method = getattr(PipelineOperator, name)
-        monkeypatch.setattr(PipelineOperator, name,
-                            lambda self, x, _m=method, _c=calls: _c.append(np.shape(x)) or _m(self, x))
+    # every factor of A = H P R prep, from the operator or from the Grover step, goes through these
+    shapes = {"prep": [], "permute": [], "unpermute": []}
+    rank_one = []  # (reflection vector, shape) of every rank-1 reflection
+    reflect_axes_, reflect_ = flowmap.reflect_axes, flowmap._reflect
+    monkeypatch.setattr(flowmap, "reflect_axes",
+                        lambda f, y: shapes["prep"].append(y.shape) or reflect_axes_(f, y))
+    monkeypatch.setattr(flowmap, "_reflect",
+                        lambda x, w, c: rank_one.append((w, x.shape)) or reflect_(x, w, c))
+    for name in ("permute", "unpermute"):
+        method = getattr(LevelCompletion, name)
+        monkeypatch.setattr(LevelCompletion, name,
+                            lambda self, x, _m=method, _c=shapes[name]: _c.append(x.shape) or _m(self, x))
     op, _, _ = build_pipeline_operator(h_row, dists, "mean")
     build_grover_iterate(op)
     block, vector = (op.dim, 3), (op.dim,)
-    # build: one probe block each way; Grover set-up: one probe block through Q,
-    # then A|0> and the two steps of the rotation check
-    assert shapes["_forward"] == [block, block, vector, vector, vector]
-    assert shapes["_backward"] == [block, block, vector, vector]
+    shapes["H"] = [shape for w, shape in rank_one if w is op.h_vector]
+    shapes["u"] = [shape for w, shape in rank_one if w is op.good_axis]
+    assert len(shapes["H"]) + len(shapes["u"]) == len(rank_one)
+    # the state prep nine times: the build's probe block through A and A^T, the Grover
+    # probe block through W = S0 B^T (I - 2 u u^T) B, r = B^T u, and the rotation check's
+    # two steps; P and H run in the build and once more for u = P^T H e_g, never in a step
+    assert shapes["prep"] == [block, block, block, block, vector, vector, vector, vector, vector]
+    assert shapes["permute"] == [block]
+    assert shapes["unpermute"] == [block, vector]
+    assert shapes["H"] == [block, block, vector]
+    assert shapes["u"] == [block, vector, vector]
+
+
+def test_probe_block_drawn_once_per_study_and_released(monkeypatch):
+    h_row, dists = synthetic_grid(4)
+    seeds, handed = [], []
+    default_rng, probe = np.random.default_rng, estimation.probe_unitary
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or default_rng(*a))
+    monkeypatch.setattr(estimation, "probe_unitary",
+                        lambda *a, **k: handed.append(weakref.ref(k["probes"])) or probe(*a, **k))
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    build_grover_iterate(op)
+    # the build draws the block, the Grover probe takes it from the operator, and nothing keeps it
+    assert seeds.count((simulator._PROBE_SEED,)) == 1
+    assert len(handed) == 1 and handed[0]() is None
+    assert "_probes" not in vars(op)
 
 
 @pytest.mark.parametrize("n_buses", [3, 4, 5])
