@@ -12,26 +12,23 @@ __version__ = "0.1.0"
 from .classical import classical_mc, exact_line_distribution, required_samples
 from .config import builtin_config_path, load_config
 from .errors import ConfigurationError, DisconnectedNetworkError
-from .estimation import EstimationResult, build_grover, iqae, rescale
-from .flowmap import (
+from .dense import (
     PipelineUnitary,
+    UnitaryMatrix,
+    apply,
     assemble_pipeline,
-    build_estimator_vector,
+    build_grover,
     build_line_map,
     build_line_pipeline,
     householder_unitary,
-    kron_sum,
     orthonormalize_rows,
+    state_prep_unitary,
     unitary_factorize,
-)
-from .grid import Line, Network, build_ptdf, rate_scale_ptdf
-from .injection import InjectionDistribution, encode, joint_state, state_prep_unitary
-from .runner import RunReport, export_histogram, run_analysis, stage_state
-from .simulator import (
-    StateVector,
-    UnitaryMatrix,
-    apply,
-    probability_of,
-    sample_counts,
     zero_state,
 )
+from .estimation import EstimationResult, iqae, rescale
+from .flowmap import build_estimator_vector
+from .grid import Line, Network, build_ptdf, rate_scale_ptdf
+from .injection import InjectionDistribution, encode, joint_state
+from .runner import RunReport, export_histogram, run_analysis, stage_state
+from .simulator import StateVector, probability_of, sample_counts

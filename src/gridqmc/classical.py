@@ -48,14 +48,8 @@ class ExactDistribution:
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         keep = self.mass > 0.0
         loading = self.loading[keep]
-        order = np.argsort(loading)
+        order = np.argsort(loading, kind="stable")  # equal loadings stay in enumeration order
         loading = loading[order]
-        # equal loadings back in enumeration order: the stable sort's order, whatever the sort
-        run = np.zeros(len(loading), dtype=np.int64)
-        np.not_equal(loading[1:], loading[:-1], out=run[1:])
-        np.cumsum(run, out=run)
-        run *= len(loading)
-        order = np.sort(run + order) - run
         mass = self.mass[keep][order]
         # a level is a chain of sorted values whose consecutive gaps are within the tolerance
         starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))

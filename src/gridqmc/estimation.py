@@ -4,12 +4,10 @@ The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
 basis-state phase flips.  :func:`build_grover_iterate` steps W = S0 A^T Sg A,
 as Q^k A|0> = A W^k|0>, on a structured :class:`PipelineOperator`: state prep,
 level reflections, one rank-1 reflection, level reflections, state prep and
-S0, no permutation or metric reflection.  :func:`build_grover` assembles Q as
-a dense unitary from a :class:`PipelineUnitary`, the small-n oracle.  Estimation
-maintains a confidence interval on the rotation angle, adaptively raising
-the Grover power whenever the scaled interval still fits in one half-plane,
-and tightens it with Clopper-Pearson binomial intervals on seeded shot
-draws.
+S0, no permutation or metric reflection.  Estimation maintains a confidence
+interval on the rotation angle, adaptively raising the Grover power whenever
+the scaled interval still fits in one half-plane, and tightens it with
+Clopper-Pearson binomial intervals on seeded shot draws.
 """
 from __future__ import annotations
 
@@ -21,8 +19,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
-from .flowmap import PipelineOperator, PipelineUnitary
-from .simulator import UnitaryMatrix, probe_unitary
+from .flowmap import PipelineOperator
+from .simulator import probe_unitary
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -36,53 +34,8 @@ _MAX_QUANTILE_STEPS = 100
 IQAE_MAX_EPSILON = 0.25
 
 
-class _GroverSteps:
-    """What :func:`iqae` needs of an amplification operator for the target state.
-
-    A subclass provides ``a_op``, the pipeline operator A, ``start``, the
-    vector at power 0, ``step``, and ``good_probability(k)``, the probability
-    of the good state in Q^k A|0>.
-    """
-
-    @property
-    def good_state_index(self) -> int:
-        return self.a_op.good_state_index
-
-    def _power(self, k: int) -> np.ndarray:
-        """The vector at power k, stepped on from the highest power computed so far if that is at most k.
-
-        IQAE thus repeats no step of the rotation check or of its own earlier rounds.
-        """
-        highest = self.__dict__.get("_highest", (0, self.start))
-        done, x = highest if highest[0] <= k else (0, self.start)
-        for _ in range(k - done):
-            x = self.step(x)
-        if k >= highest[0]:
-            # kept beside the fields of the frozen dataclass, as cached_property does
-            self.__dict__["_highest"] = (k, x)
-        return x
-
-
 @dataclass(frozen=True)
-class GroverOperator(_GroverSteps):
-    """Amplification operator as a dense unitary; the small-n oracle."""
-
-    q: UnitaryMatrix
-    a_op: PipelineUnitary
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.a_op.a.entries[:, 0]  # A|0>
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        return self.q.entries @ x
-
-    def good_probability(self, k: int) -> float:
-        return float(self._power(k)[self.good_state_index] ** 2)
-
-
-@dataclass(frozen=True)
-class GroverIterate(_GroverSteps):
+class GroverIterate:
     """Amplification operator as steps of W = S0 A^T Sg A on the structured pipeline operator."""
 
     a_op: PipelineOperator
@@ -101,6 +54,20 @@ class GroverIterate(_GroverSteps):
         y = self.a_op._reflect_good(self.a_op._own(x))  # the one copy of the step, overwritten in place
         y[0] = -y[0]
         return y
+
+    def _power(self, k: int) -> np.ndarray:
+        """W^k|0>, stepped on from the highest power computed so far if that is at most k.
+
+        IQAE thus repeats no step of the rotation check or of its own earlier rounds.
+        """
+        highest = self.__dict__.get("_highest", (0, self.start))
+        done, x = highest if highest[0] <= k else (0, self.start)
+        for _ in range(k - done):
+            x = self.step(x)
+        if k >= highest[0]:
+            # kept beside the fields of the frozen dataclass, as cached_property does
+            self.__dict__["_highest"] = (k, x)
+        return x
 
     def good_probability(self, k: int) -> float:
         return float((self._readout @ self._power(k)) ** 2)  # (r . W^k|0>)^2
@@ -137,8 +104,8 @@ class EstimationResult:
                    shots_total=0, oracle_applications=0, epsilon=epsilon, alpha=alpha, seed=seed)
 
 
-def _check_rotation(op: GroverOperator | GroverIterate) -> None:
-    """Good-state probability after k steps must be sin^2((2k+1) theta), k = 0..2."""
+def _check_rotation(op: GroverIterate) -> None:
+    """Good-state probability after k steps, ``op.good_probability(k)``, must be sin^2((2k+1) theta)."""
     theta = math.asin(min(math.sqrt(op.good_probability(0)), 1.0))
     for k in range(3):
         expected = math.sin((2 * k + 1) * theta) ** 2
@@ -147,20 +114,6 @@ def _check_rotation(op: GroverOperator | GroverIterate) -> None:
             raise ConfigurationError(
                 f"Grover rotation identity violated at k={k}: {got} vs {expected}"
             )
-
-
-def build_grover(a: PipelineUnitary) -> GroverOperator:
-    """Assemble the dense Grover operator and verify its rotation identity."""
-    dim = a.a.dim
-    amat = a.a.entries
-    s0 = np.eye(dim)
-    s0[0, 0] = -1.0
-    sg = np.eye(dim)
-    sg[a.good_state_index, a.good_state_index] = -1.0
-    q = amat @ s0 @ amat.T @ sg
-    op = GroverOperator(q=UnitaryMatrix(q), a_op=a)
-    _check_rotation(op)
-    return op
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
@@ -273,7 +226,7 @@ def _find_next_k(k: int, upper_half: bool, theta_interval: tuple[float, float]) 
 
 
 def iqae(
-    g: GroverOperator | GroverIterate,
+    g: GroverIterate,
     epsilon: float,
     alpha: float,
     shots_per_round: int = 100,
@@ -284,7 +237,7 @@ def iqae(
     Returns an interval of width at most 2*epsilon whose coverage of the
     true amplitude is at least 1-alpha.  Shots are drawn from the exact
     good-state probability of the amplified circuit with a seeded binomial
-    generator, so runs are reproducible.
+    generator, so runs are reproducible.  ``g`` is read only through ``g.good_probability(k)``.
     """
     if not 0 < epsilon < IQAE_MAX_EPSILON:
         raise ConfigurationError(f"epsilon must lie in (0, {IQAE_MAX_EPSILON})")

@@ -7,33 +7,23 @@ values labels every joint state with its loading level; the labels define a
 state.  A Householder reflection then folds the chosen risk metric into the
 amplitude of the all-ones basis state.
 
-The estimation path, :func:`build_pipeline_operator`, keeps the operator in
-factored form and applies it to a statevector in O(2^n * sum 2^k) time:
-per-bus state-prep reflections, one reflection per loading level plus a
-permutation for the unitary completion of the map (:class:`LevelCompletion`),
-and the rank-1 metric reflection.  The dense builders (:func:`build_line_map`,
-:func:`unitary_factorize`, :func:`assemble_pipeline`) materialize the same
-factors as matrices; they serve histogram stage V and act as the small-n
-oracle.
+:func:`build_pipeline_operator` keeps the operator in factored form and
+applies it to a statevector in O(2^n * sum 2^k) time: per-bus state-prep
+reflections, one reflection per loading level plus a permutation for the
+unitary completion of the map (:class:`LevelCompletion`), and the rank-1
+metric reflection.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .injection import (
-    EncodedInjection,
-    InjectionDistribution,
-    encode,
-    prep_reflections,
-    reflect_axes,
-    state_prep_unitary,
-)
-from .simulator import UnitaryMatrix, check_qubit_count, householder, probe_unitary, reflection_unitary
+from .injection import EncodedInjection, InjectionDistribution, encode, prep_reflections, reflect_axes
+from .simulator import check_qubit_count, householder, probe_unitary
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
@@ -41,23 +31,6 @@ VALUE_GROUP_TOL = 1e-9
 #: a loading level counts as overloaded when ``level >= threshold - THRESHOLD_TOL``;
 #: float sums such as 0.3 * 3 land a few ulps below a threshold they equal
 THRESHOLD_TOL = 1e-9
-
-#: qubits above which :func:`build_line_map` refuses to build the dense path, whose
-#: n_columns x n_columns float64 operators take 2^(2n + 3) bytes each
-MAX_DENSE_QUBITS = 12
-
-
-def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise sums, first operand most significant.
-
-    Output index ``i * len(b) + j`` holds ``a[i] + b[j]``, matching the
-    ordering of the Kronecker product of the corresponding states.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ConfigurationError("kron_sum operands must be non-empty")
-    return np.add.outer(a, b).ravel()
 
 
 def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,9 +100,10 @@ def line_levels(
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
 
+    # joint states in Kronecker order, first bus most significant
     loading, prob = np.array([0.0]), np.ones(1)
     for h, dist in zip(h_row, distributions):
-        loading = kron_sum(loading, h * dist.values_mw)
+        loading = np.add.outer(loading, h * dist.values_mw).ravel()
         prob = np.multiply.outer(prob, dist.probabilities).ravel()
     loading = np.abs(loading)
 
@@ -143,71 +117,6 @@ def line_levels(
         row_norms=np.sqrt(np.bincount(labels, minlength=r).astype(float)),
         mass=np.bincount(labels, weights=prob, minlength=r),
         mass_loading=np.bincount(labels, weights=prob * loading, minlength=r),
-    )
-
-
-@dataclass(frozen=True)
-class LineFlowMap(LineLevels):
-    """Line levels with their dense 0/1 map onto the loading levels.
-
-    ``m[k, c] == 1`` iff ``labels[c] == k``: every column holds exactly one
-    1.  ``m_sc`` is filled by :func:`orthonormalize_rows`.
-    """
-
-    m: np.ndarray
-    m_sc: np.ndarray | None = None
-
-
-def build_line_map(
-    h_row: np.ndarray,
-    distributions: list[InjectionDistribution],
-    line: str = "",
-) -> LineFlowMap:
-    """Dense form of :func:`line_levels`: one 0/1 row per loading level.
-
-    Raises :class:`ConfigurationError` above ``MAX_DENSE_QUBITS``, before
-    any joint state is enumerated.
-    """
-    n_qubits = sum(d.n_qubits for d in distributions)
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
-    levels = line_levels(h_row, distributions, line=line)
-    n_rows, n_cols = levels.n_rows, levels.n_columns
-    m = np.zeros((n_rows, n_cols))
-    m[levels.labels, np.arange(n_cols)] = 1.0
-    return LineFlowMap(**vars(levels), m=m)
-
-
-def orthonormalize_rows(lf_map: LineFlowMap) -> LineFlowMap:
-    """Divide every row by its L2 norm, making the map semi-orthogonal."""
-    if np.any(lf_map.row_norms == 0):
-        raise ConfigurationError("flow map has a zero row")
-    return replace(lf_map, m_sc=lf_map.m / lf_map.row_norms[:, None])
-
-
-@dataclass(frozen=True)
-class UnitaryFactorization:
-    """The factors of a :class:`LevelCompletion` as dense unitaries.
-
-    ``v_h`` is the per-level reflection R and ``u_padded`` the permutation
-    P; the top ``n_rows`` rows of ``u_padded @ v_h`` equal the
-    orthonormalized map.
-    """
-
-    v_h: UnitaryMatrix
-    u_padded: UnitaryMatrix
-
-
-def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
-    """Materialize the unitary completion C = P R of the map's levels.
-
-    Takes the map from :func:`build_line_map`, whose qubit budget bounds
-    the two dense factors.
-    """
-    completion = LevelCompletion.from_levels(lf_map)
-    return UnitaryFactorization(
-        v_h=UnitaryMatrix(completion.reflection_matrix()),
-        u_padded=UnitaryMatrix(completion.permute(np.eye(lf_map.n_columns))),
     )
 
 
@@ -279,76 +188,6 @@ def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:
     return householder(v / norm, -1)
 
 
-def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
-    """Reflection placing ``v / ||v||`` on the last row and column.
-
-    Symmetric involution; the overlap of any state with the all-ones basis
-    state after applying it equals the normalized inner product with ``v``.
-    Returns the identity when ``v`` already points along the last axis.
-    """
-    return reflection_unitary(*_metric_reflection(v))
-
-
-@dataclass(frozen=True)
-class PipelineUnitary:
-    """Composed operator: state prep, flow map factors, then the estimator.
-
-    The amplitude of the all-ones basis state applied to the all-zero input
-    is the metric on the amplitude scale; ``scaling`` converts it back to
-    physical units.
-    """
-
-    a: UnitaryMatrix
-    scaling: float
-
-    @property
-    def good_state_index(self) -> int:
-        return self.a.dim - 1
-
-
-def assemble_pipeline(
-    preps: list[UnitaryMatrix],
-    factorization: UnitaryFactorization,
-    h: UnitaryMatrix,
-    scaling: float,
-) -> PipelineUnitary:
-    """Multiply the stage unitaries into one dense operator."""
-    prep = preps[0].entries
-    for p in preps[1:]:
-        prep = np.kron(prep, p.entries)
-    dim = factorization.v_h.dim
-    if prep.shape[0] != dim or h.dim != dim:
-        raise ConfigurationError("stage dimensions do not match")
-    a = h.entries @ factorization.u_padded.entries @ factorization.v_h.entries @ prep
-    return PipelineUnitary(a=UnitaryMatrix(a), scaling=scaling)
-
-
-def build_line_pipeline(
-    h_row: np.ndarray,
-    distributions: list[InjectionDistribution],
-    metric: str,
-    threshold: float | None = None,
-    line: str = "",
-) -> tuple[PipelineUnitary | None, LineFlowMap, EstimatorVector]:
-    """Run the full construction for one line and metric.
-
-    Returns ``(pipeline, flow_map, estimator)``; the pipeline is ``None``
-    when the estimator is degenerate (metric exactly zero, nothing to
-    estimate).
-    """
-    encodings = [encode(d) for d in distributions]
-    n_qubits = sum(enc.n_qubits for enc in encodings)
-    lf_map = orthonormalize_rows(build_line_map(h_row, distributions, line=line))
-    estimator = build_estimator_vector(lf_map, metric, n_qubits, encodings, threshold)
-    if estimator.is_degenerate:
-        return None, lf_map, estimator
-    factorization = unitary_factorize(lf_map)
-    h_unitary = householder_unitary(estimator.v)
-    preps = [state_prep_unitary(enc) for enc in encodings]
-    pipeline = assemble_pipeline(preps, factorization, h_unitary, estimator.scaling)
-    return pipeline, lf_map, estimator
-
-
 def _reflect(x: np.ndarray, w: np.ndarray, coef: float) -> np.ndarray:
     """Rank-1 reflection ``(I - coef * w w^T) x`` in place, on a vector or on each column of a block."""
     beta = coef * (w @ x)
@@ -365,10 +204,10 @@ class LevelCompletion:
     first joint state to the uniform vector on the level.  P sends those
     first states to indices 0..r-1 and keeps the others, in order, after
     them.  Row k of C is therefore row k of the orthonormalized map, because
-    the levels have disjoint supports.  :func:`unitary_factorize` is its
-    dense form.  A level of one state reflects nothing, so R keeps only the
-    levels of more than one state.  Every method takes a vector of length
-    ``dim`` or a ``(dim, m)`` block, whose columns are transformed alike.
+    the levels have disjoint supports.  A level of one state reflects
+    nothing, so R keeps only the levels of more than one state.  Every
+    method takes a vector of length ``dim`` or a ``(dim, m)`` block, whose
+    columns are transformed alike.
     """
 
     first: np.ndarray  # first joint state of every level, shared with LineLevels
@@ -426,16 +265,6 @@ class LevelCompletion:
         y[self.first], y[self.rest] = x[:r], x[r:]
         return y
 
-    def reflection_matrix(self) -> np.ndarray:
-        """R as a dense matrix, exactly symmetric: ``I - gain_k w_k w_k^T`` per reflected level."""
-        w = -self.inv_sqrt[self.level]
-        w[np.searchsorted(self.members, self.heads)] += 1.0
-        s = np.sqrt(self.gain)[self.level] * w
-        r = np.eye(len(self.first) + len(self.rest))
-        same_level = self.level[:, None] == self.level[None, :]
-        r[np.ix_(self.members, self.members)] -= same_level * np.outer(s, s)
-        return r
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.permute(self.reflect(np.array(x, dtype=float)))
 
@@ -452,9 +281,9 @@ class PipelineOperator:
     and applied by :func:`~gridqmc.injection.reflect_axes`, P R the
     :class:`LevelCompletion` and H the rank-1 metric reflection.  The Grover
     iterate works in the frame of B = R prep: A^T Sg A = B^T (I - 2 u u^T) B
-    for u = P^T H e_g.  Same contract as :class:`PipelineUnitary`: the
-    amplitude of ``good_state_index`` in ``A|0>`` is the metric on the
-    amplitude scale.  ``apply`` and ``apply_adjoint`` take a vector or a
+    for u = P^T H e_g.  The amplitude of ``good_state_index`` in ``A|0>``
+    is the metric on the amplitude scale; ``scaling`` converts it back to
+    physical units.  ``apply`` and ``apply_adjoint`` take a vector or a
     ``(dim, m)`` block of columns and leave it unchanged; R reflects only
     levels of more than one state.
     """
@@ -519,7 +348,7 @@ def build_pipeline_operator(
     threshold: float | None = None,
     line: str = "",
 ) -> tuple[PipelineOperator | None, LineLevels, EstimatorVector]:
-    """Structured counterpart of :func:`build_line_pipeline`; no dense matrix.
+    """Build the pipeline operator for one line and metric; no dense matrix.
 
     Returns ``(operator, levels, estimator)``; the operator is ``None`` when
     the estimator is degenerate.  Seeded probes check ``||A x|| = ||x||`` and

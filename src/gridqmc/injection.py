@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import StateVector, UnitaryMatrix, householder, reflection_unitary
+from .simulator import StateVector, householder
 
 _PROB_SUM_TOL = 1e-9
 #: :func:`reflect_axes` updates an axis in slices whose temporary holds at most
@@ -102,16 +102,6 @@ def joint_state(encodings: list[EncodedInjection]) -> StateVector:
     return StateVector(n, amps)
 
 
-def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
-    """Unitary whose first column is the amplitude vector.
-
-    A Householder reflection mapping the all-zero basis state onto the
-    amplitude vector; reduces to the identity when the vector already is
-    that basis state.
-    """
-    return reflection_unitary(*householder(encoding.amplitudes, 0))
-
-
 @dataclass(frozen=True)
 class _Reflection:
     """Reflection ``I - gw w^T`` of a bus of more than ``_FUSED_LEVELS`` levels, not formed as a matrix.
@@ -132,7 +122,7 @@ class _Reflection:
 
 
 def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray | _Reflection, ...]:
-    """The state prep, the Kronecker product of every bus's :func:`state_prep_unitary`, as a few factors.
+    """The state prep as a few factors: the Kronecker product of every bus's reflection of ``e_0`` onto its amplitudes.
 
     Adjacent buses share one dense factor, the Kronecker product of their
     reflections, while the fused axis has at most ``_FUSED_LEVELS`` levels:

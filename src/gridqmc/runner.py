@@ -9,11 +9,12 @@ from . import __version__
 from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
+from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
-from .flowmap import LevelCompletion, build_line_pipeline, build_pipeline_operator, line_levels
+from .flowmap import LevelCompletion, build_pipeline_operator, line_levels
 from .grid import build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
-from .simulator import StateVector, apply, check_qubit_count, sample_counts, zero_state
+from .simulator import StateVector, check_qubit_count, sample_counts
 
 STAGES = ("psi", "L", "V")
 
@@ -123,11 +124,11 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
 
     Stages psi and L run up to ``MAX_QUBITS``: stage L applies the
     structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
-    and forms no matrix.  Stage V goes through the dense builders, up to
-    ``flowmap.MAX_DENSE_QUBITS``; its amplitudes equal those of the
-    structured operator to rounding.  A study over ``MAX_QUBITS`` is refused
-    by :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
-    enumerated.
+    and forms no matrix.  Stage V is ``A|0>`` from the oracle in
+    :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its amplitudes
+    equal those of the structured operator to rounding.  A study over
+    ``MAX_QUBITS`` is refused by :func:`~gridqmc.simulator.check_qubit_count`
+    before any joint state is enumerated.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
@@ -153,6 +154,8 @@ def export_histogram(
     config: PipelineConfig, stage: str, shots: int, seed: int, path: str | Path
 ) -> Path:
     """Write per-basis-state counts and exact probabilities as CSV; a refused stage leaves no file."""
+    if shots < 1:  # refused before the open truncates a file already at ``path``
+        raise ConfigurationError("shots must be >= 1")
     out = Path(path)
     with out.open("w") as f:  # opened first, so an unwritable path is refused before any work
         try:

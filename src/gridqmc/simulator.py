@@ -1,10 +1,10 @@
 """Minimal statevector simulator.
 
-Supports exactly what the pipeline needs: Householder reflections, applying
-dense unitaries, checking matrix-free operators, reading exact basis-state
-probabilities and drawing seeded measurement shots.  Every operator the
-pipeline builds is real orthogonal, so amplitudes are float64.  Everything
-is immutable; no gates, no noise, no hardware backends.
+Supports exactly what the pipeline needs: Householder reflections, checking
+matrix-free operators, reading exact basis-state probabilities and drawing
+seeded measurement shots.  Every operator the pipeline builds is real
+orthogonal, so amplitudes are float64.  Everything is immutable; no gates,
+no noise, no hardware backends.
 """
 from __future__ import annotations
 
@@ -66,31 +66,6 @@ class StateVector:
         return self.amplitudes**2
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Dense real orthogonal operator on n qubits, checked at construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen_real(self.entries)
-        object.__setattr__(self, "entries", mat)
-        n, m = mat.shape
-        if n != m or n & (n - 1) != 0:
-            raise ConfigurationError("unitary must be square with power-of-two dimension")
-        residual = np.max(np.abs(mat.T @ mat - np.eye(n)))
-        if residual > _UNITARY_TOL * n:
-            raise ConfigurationError(f"matrix is not unitary (residual {residual:.2e})")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.entries.shape[0]).bit_length() - 1
-
-
 def householder(u: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
     """Householder reflection ``I - gain w w^T`` swapping ``e_axis`` and the unit vector ``u``.
 
@@ -101,11 +76,6 @@ def householder(u: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
     w[axis] -= 1.0
     wnorm2 = float(w @ w)
     return w, 0.0 if wnorm2 < _IDENTITY_NORM2 else 2.0 / wnorm2
-
-
-def reflection_unitary(w: np.ndarray, gain: float) -> UnitaryMatrix:
-    """Dense form ``I - gain w w^T`` of a :func:`householder` reflection."""
-    return UnitaryMatrix(np.eye(len(w)) - gain * np.outer(w, w))
 
 
 def probe_unitary(
@@ -136,19 +106,6 @@ def probe_unitary(
     if residual > _UNITARY_TOL:
         raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
     return x
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(2**n_qubits)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def apply(u: UnitaryMatrix, s: StateVector) -> StateVector:
-    """Apply a unitary to a state; norm is preserved by construction."""
-    if u.dim != s.dim:
-        raise ConfigurationError(f"dimension mismatch: {u.dim} vs {s.dim}")
-    return StateVector(s.n_qubits, u.entries @ s.amplitudes)
 
 
 def probability_of(s: StateVector, basis_index: int) -> float:

@@ -548,6 +548,17 @@ class TestCli:
         assert opened.count(out) == 1 and existed == [True]
         assert out.read_text().startswith("bitstring,count,exact_probability\n")
 
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_histogram_refuses_shots_before_the_stage(self, shots, tmp_path, capsys, monkeypatch):
+        calls, out = [], tmp_path / "h.csv"
+        monkeypatch.setattr(runner, "stage_state", lambda *a: calls.append(a) or stage_state(*a))
+        out.write_text("kept\n")
+        code = main(["histogram", "--config", str(builtin_config_path("three_bus")), "--stage", "V",
+                     "--shots", str(shots), "--out", str(out)])
+        assert code == 2 and calls == []
+        assert capsys.readouterr().err == "error: shots must be >= 1\n"
+        assert out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", [["validate"], ["run"], ["histogram", "--stage", "psi"]],
                              ids=["validate", "run", "histogram"])
     def test_config_directory_refused(self, command, tmp_path, capsys):
@@ -681,3 +692,29 @@ class TestPackageSurface:
         assert len(names) > 20
         missing = [f"{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(mod), name)]
         assert missing == []
+
+    def test_dense_oracle_stays_behind_its_module(self):
+        # the dense builders live in gridqmc.dense alone, and only stage V reads them
+        package = Path(gridqmc.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+        def defined(tree):
+            names = set()
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            return names
+
+        importers = sorted(
+            name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and (node.module == "dense" or node.module is None and "dense" in [a.name for a in node.names])
+        )
+        assert importers == ["__init__.py", "runner.py"]
+        dense_names = defined(trees["dense.py"])
+        assert {"UnitaryMatrix", "build_line_map", "GroverOperator", "MAX_DENSE_QUBITS"} <= dense_names
+        shared = {name: sorted(defined(tree) & dense_names) for name, tree in trees.items() if name != "dense.py"}
+        assert {name: both for name, both in shared.items() if both} == {}

@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridqmc import (
     ConfigurationError,
     InjectionDistribution,
     apply,
+    assemble_pipeline,
     build_estimator_vector,
     build_line_map,
     build_line_pipeline,
     encode,
     householder_unitary,
-    kron_sum,
     orthonormalize_rows,
+    state_prep_unitary,
     unitary_factorize,
     zero_state,
 )
 from gridqmc.config import parse_config
-from gridqmc.flowmap import assemble_pipeline, group_values
-from gridqmc.injection import state_prep_unitary
+from gridqmc.flowmap import group_values
 from gridqmc.runner import run_analysis
 from tests.conftest import random_distribution, synthetic_grid
 
@@ -33,29 +31,6 @@ def point_mass(bus, index, values=(0, 1, 2, 3)):
     probs = np.zeros(len(values))
     probs[index] = 1.0
     return InjectionDistribution(bus=bus, values_mw=values, probabilities=probs)
-
-
-class TestKronSum:
-    def test_zero_left_operand(self):
-        assert np.array_equal(kron_sum([0], [0, 2]), [0, 2])
-
-    def test_pairwise_enumeration(self):
-        assert np.array_equal(kron_sum([0, 1], [0, 2]), [0, 2, 1, 3])
-
-    def test_negative_weights(self):
-        assert kron_sum([0, 0.5], [0, -0.5]) == pytest.approx([0, -0.5, 0.5, 0])
-
-    @given(
-        st.lists(st.floats(-5, 5), min_size=1, max_size=4),
-        st.lists(st.floats(-5, 5), min_size=1, max_size=4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_index_layout(self, a, b):
-        out = kron_sum(a, b)
-        assert len(out) == len(a) * len(b)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                assert out[i * len(b) + j] == pytest.approx(x + y)
 
 
 class TestBuildLineMap:
