@@ -1,13 +1,13 @@
 """Iterative amplitude estimation over simulated measurement shots.
 
 The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
-basis-state phase flips.  :func:`build_grover_iterate` steps W = S0 A^T Sg A,
-as Q^k A|0> = A W^k|0>, on a structured :class:`PipelineOperator`: state prep,
-level reflections, one rank-1 reflection, level reflections, state prep and
-S0, no permutation or metric reflection.  Estimation maintains a confidence
-interval on the rotation angle, adaptively raising the Grover power whenever
-the scaled interval still fits in one half-plane, and tightens it with
-Clopper-Pearson binomial intervals on seeded shot draws.
+basis-state phase flips.  As S0 = I - 2|0><0|, A S0 A^T = I - 2 psi psi^T
+for psi = A|0>, so :func:`build_grover_iterate` applies the structured
+:class:`PipelineOperator` once, for psi, and a step is a sign flip of the
+good amplitude and one rank-1 reflection about psi.  Estimation maintains a
+confidence interval on the rotation angle, adaptively raising the Grover
+power whenever the scaled interval still fits in one half-plane, and
+tightens it with Clopper-Pearson binomial intervals on seeded shot draws.
 """
 from __future__ import annotations
 
@@ -36,27 +36,27 @@ IQAE_MAX_EPSILON = 0.25
 
 @dataclass(frozen=True)
 class GroverIterate:
-    """Amplification operator as steps of W = S0 A^T Sg A on the structured pipeline operator."""
+    """Amplification operator Q = (I - 2 psi psi^T) Sg for psi = A|0> of the structured pipeline operator."""
 
     a_op: PipelineOperator
 
     @cached_property
     def start(self) -> np.ndarray:
-        return np.eye(1, self.a_op.dim)[0]  # |0>
-
-    @cached_property
-    def _readout(self) -> np.ndarray:
-        """r = A^T e_g = B^T u, computed on first use."""
-        return self.a_op._from_frame(self.a_op.good_axis.copy())
+        """psi = A|0>, read-only: the one call of the pipeline operator."""
+        psi = self.a_op.prepared()
+        psi.setflags(write=False)
+        return psi
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector or each column of a block; S0 negates row 0."""
-        y = self.a_op._reflect_good(self.a_op._own(x))  # the one copy of the step, overwritten in place
-        y[0] = -y[0]
+        """Q x for a vector or each column of a block: negate the good amplitude, reflect about psi."""
+        y = self.a_op._own(x)  # the one copy of the step, overwritten in place
+        y[self.a_op.good_state_index] *= -1.0
+        psi = self.start
+        y -= np.multiply.outer(psi, 2.0 * (psi @ y))
         return y
 
     def _power(self, k: int) -> np.ndarray:
-        """W^k|0>, stepped on from the highest power computed so far if that is at most k.
+        """Q^k psi, stepped on from the highest power computed so far if that is at most k.
 
         IQAE thus repeats no step of the rotation check or of its own earlier rounds.
         """
@@ -70,7 +70,7 @@ class GroverIterate:
         return x
 
     def good_probability(self, k: int) -> float:
-        return float((self._readout @ self._power(k)) ** 2)  # (r . W^k|0>)^2
+        return float(self._power(k)[self.a_op.good_state_index] ** 2)
 
 
 @dataclass(frozen=True)

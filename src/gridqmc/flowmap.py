@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -274,14 +273,14 @@ class LevelCompletion:
 
 @dataclass(frozen=True)
 class PipelineOperator:
-    """The pipeline operator A = H P R prep = H P B, kept as factors and applied as calls.
+    """The pipeline operator A = H P R prep, kept as factors and applied as calls.
 
     ``prep`` is the Kronecker product of the per-bus state-prep reflections,
     held as the few fused factors of :func:`~gridqmc.injection.prep_reflections`
     and applied by :func:`~gridqmc.injection.reflect_axes`, P R the
     :class:`LevelCompletion` and H the rank-1 metric reflection.  The Grover
-    iterate works in the frame of B = R prep: A^T Sg A = B^T (I - 2 u u^T) B
-    for u = P^T H e_g.  The amplitude of ``good_state_index`` in ``A|0>``
+    iterate calls it once, for ``prepared()`` = A|0>, and steps on that
+    vector alone.  The amplitude of ``good_state_index`` in ``A|0>``
     is the metric on the amplitude scale; ``scaling`` converts it back to
     physical units.  ``apply`` and ``apply_adjoint`` take a vector or a
     ``(dim, m)`` block of columns and leave it unchanged; R reflects only
@@ -307,34 +306,20 @@ class PipelineOperator:
         return self.dim - 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = H P B x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
+        """A x = H P R prep x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
         y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, self._own(x))))
         return _reflect(y, self.h_vector, self.h_gain)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """A^T x = B^T P^T H x; every factor but the permutation is symmetric."""
-        return self._from_frame(self.completion.unpermute(_reflect(self._own(x), self.h_vector, self.h_gain)))
+        """A^T x = prep R P^T H x; every factor but the permutation is symmetric."""
+        y = self.completion.unpermute(_reflect(self._own(x), self.h_vector, self.h_gain))
+        return reflect_axes(self.prep, self.completion.reflect(y))
 
     def _own(self, x: np.ndarray) -> np.ndarray:
         """``x``, checked for length, as a new C-contiguous float64 array to be overwritten in place."""
         if len(x) != self.dim:
             raise ConfigurationError("state length does not match the operator")
         return np.array(x, dtype=float, order="C")
-
-    def _from_frame(self, y: np.ndarray) -> np.ndarray:
-        """B^T y = prep R y, in place."""
-        return reflect_axes(self.prep, self.completion.reflect(y))
-
-    @cached_property
-    def good_axis(self) -> np.ndarray:
-        """The unit vector u = P^T H e_g, computed on first use."""
-        e_g = np.eye(1, self.dim, self.good_state_index)[0]
-        return self.completion.unpermute(_reflect(e_g, self.h_vector, self.h_gain))
-
-    def _reflect_good(self, y: np.ndarray) -> np.ndarray:
-        """A^T Sg A y = B^T (I - 2 u u^T) B y, where Sg negates the good state; overwrites ``y``."""
-        y = self.completion.reflect(reflect_axes(self.prep, y))
-        return self._from_frame(_reflect(y, self.good_axis, 2.0))
 
     def prepared(self) -> np.ndarray:
         """A|0>."""

@@ -286,34 +286,33 @@ def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
         assert np.max(np.abs(f(np.asfortranarray(block)) - by_column)) <= 1e-13
 
 
-def test_build_and_grover_set_up_apply_the_operator_nine_times(monkeypatch):
+def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypatch):
     h_row, dists = synthetic_grid(4)
-    # every factor of A = H P R prep, from the operator or from the Grover step, goes through these
-    shapes = {"prep": [], "permute": [], "unpermute": []}
-    rank_one = []  # (reflection vector, shape) of every rank-1 reflection
+    # every factor of A = H P R prep goes through these
+    shapes = {"prep": [], "permute": [], "unpermute": [], "H": []}
     reflect_axes_, reflect_ = flowmap.reflect_axes, flowmap._reflect
     monkeypatch.setattr(flowmap, "reflect_axes",
                         lambda f, y: shapes["prep"].append(y.shape) or reflect_axes_(f, y))
     monkeypatch.setattr(flowmap, "_reflect",
-                        lambda x, w, c: rank_one.append((w, x.shape)) or reflect_(x, w, c))
+                        lambda x, w, c: shapes["H"].append(x.shape) or reflect_(x, w, c))
     for name in ("permute", "unpermute"):
         method = getattr(LevelCompletion, name)
         monkeypatch.setattr(LevelCompletion, name,
                             lambda self, x, _m=method, _c=shapes[name]: _c.append(x.shape) or _m(self, x))
     op, _, _ = build_pipeline_operator(h_row, dists, "mean")
-    build_grover_iterate(op)
+    g = build_grover_iterate(op)
     block, vector = (op.dim, 3), (op.dim,)
-    shapes["H"] = [shape for w, shape in rank_one if w is op.h_vector]
-    shapes["u"] = [shape for w, shape in rank_one if w is op.good_axis]
-    assert len(shapes["H"]) + len(shapes["u"]) == len(rank_one)
-    # the state prep nine times: the build's probe block through A and A^T, the Grover
-    # probe block through W = S0 B^T (I - 2 u u^T) B, r = B^T u, and the rotation check's
-    # two steps; P and H run in the build and once more for u = P^T H e_g, never in a step
-    assert shapes["prep"] == [block, block, block, block, vector, vector, vector, vector, vector]
-    assert shapes["permute"] == [block]
-    assert shapes["unpermute"] == [block, vector]
+    # the build's probe block through A and A^T, then A once on |0> for psi; the Grover
+    # probe block and the rotation check's two steps apply no factor of A
+    assert shapes["prep"] == [block, block, vector]
+    assert shapes["permute"] == [block, vector]
+    assert shapes["unpermute"] == [block]
     assert shapes["H"] == [block, block, vector]
-    assert shapes["u"] == [block, vector, vector]
+    before = {name: list(calls) for name, calls in shapes.items()}
+    g.step(np.ones(vector))
+    g.step(np.ones(block))
+    g.good_probability(7)
+    assert shapes == before
 
 
 def test_probe_block_drawn_once_per_study_and_released(monkeypatch):
@@ -348,6 +347,41 @@ def test_iqae_repeats_no_grover_step(n_buses, monkeypatch):
         expected += k if k < highest else k - highest
         highest = max(highest, k)
     assert len(steps) == expected
+
+
+def high_power_studies():
+    """``(h_row, dists, threshold)``: synthetic grids of 6 to 12 qubits and the bundled studies."""
+    for n in range(3, 7):
+        h_row, dists = synthetic_grid(n)
+        yield h_row, dists, float(np.median(line_levels(h_row, dists).distinct_values))
+    for name in ("three_bus", "five_bus"):
+        cfg = load_config(builtin_config_path(name))
+        yield *_analysis_inputs(cfg), cfg.analysis.threshold_fraction
+
+
+@pytest.mark.parametrize("metric", ["mean", "overload"])
+def test_good_probability_keeps_the_rotation_at_high_powers(metric):
+    for h_row, dists, threshold in high_power_studies():
+        op, _, _ = build_pipeline_operator(h_row, dists, metric, threshold if metric == "overload" else None)
+        theta = math.asin(abs(op.prepared()[op.good_state_index]))
+        g = build_grover_iterate(op)
+        for k in range(61):  # IQAE reaches powers of about 20 to 60
+            assert abs(g.good_probability(k) - math.sin((2 * k + 1) * theta) ** 2) <= 1e-9
+
+
+def test_twenty_qubit_grover_step_holds_two_state_vectors():
+    h_row, dists = synthetic_grid(10)
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    g = build_grover_iterate(op)
+    tracemalloc.start()
+    try:
+        y = g.step(g.start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the step's own copy and one temporary, 8 MiB each
+    assert peak / 2**20 <= 17.0
+    assert abs(y[op.good_state_index] ** 2 - g.good_probability(1)) <= 1e-12
 
 
 #: tracemalloc peak of this test's body, in MiB, measured on the implementation
