@@ -5,6 +5,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
@@ -17,6 +19,8 @@ from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, sample_counts
 
 STAGES = ("psi", "L", "V")
+#: CSV rows formatted by one bytes ``%``: the writer holds one block of row objects, not 2^n
+CSV_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -153,20 +157,43 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
 def export_histogram(
     config: PipelineConfig, stage: str, shots: int, seed: int, path: str | Path
 ) -> Path:
-    """Write per-basis-state counts and exact probabilities as CSV; a refused stage leaves no file."""
-    if shots < 1:  # refused before the open truncates a file already at ``path``
+    """Write per-basis-state counts and exact probabilities as CSV.
+
+    ``path`` is opened before any work and not truncated: a refused stage or a
+    failed write removes only a file this call created, and a file that stood
+    there is overwritten in place and cut to length after the write.  Rows are
+    formatted ``CSV_BLOCK_ROWS`` at a time, each block by one bytes ``%``.
+    """
+    if shots < 1:  # refused before ``path`` is opened
         raise ConfigurationError("shots must be >= 1")
     out = Path(path)
-    with out.open("w") as f:  # opened first, so an unwritable path is refused before any work
+    created = not out.exists()
+    with out.open("wb" if created else "r+b") as f:
         try:
             state = stage_state(config, stage)
             counts = sample_counts(state, shots, seed)
+            _write_csv(f, state, counts)
+            if out.is_file():  # a device or a pipe has no length to cut
+                f.truncate()
         except BaseException:
             f.close()
-            out.unlink()
+            if created:
+                out.unlink()
             raise
-        probs = state.probabilities()
-        row = f"{{:0{state.n_qubits}b}},{{}},{{:.12g}}\n".format
-        f.write("bitstring,count,exact_probability\n")
-        f.writelines(map(row, range(state.dim), counts.tolist(), probs.tolist()))
     return out
+
+
+def _write_csv(f, state: StateVector, counts: np.ndarray) -> None:
+    # one bit column even at 0 qubits, where ``{:00b}`` prints "0" and an S0 view raises
+    width = max(state.n_qubits, 1)
+    f.write(b"bitstring,count,exact_probability\n")
+    for start in range(0, state.dim, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, state.dim)
+        # big-endian uint32 bytes unpacked to bits, most significant first, as ASCII digits
+        index_bytes = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(index_bytes, axis=1)[:, 32 - width:] + 48
+        rows = [None] * (3 * (stop - start))
+        rows[0::3] = bits.view(f"S{width}").ravel().tolist()
+        rows[1::3] = counts[start:stop].tolist()
+        rows[2::3] = (state.amplitudes[start:stop] ** 2).tolist()  # state.probabilities(), per block
+        f.write(b"%s,%d,%.12g\n" * (stop - start) % tuple(rows))

@@ -333,20 +333,116 @@ def histogram_loop(state, counts):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("study, stage", [
-    *[(name, stage) for name in ("three_bus", "five_bus", "nine_qubit_ring") for stage in STAGES],
-    ("sixteen_qubit_ring", "L"),
-])
-def test_histogram_csv_equals_the_row_loop(study, stage, tmp_path):
+def zero_qubit_study():
+    """Two buses of one level each: the joint state is the single basis state of 0 qubits."""
+    raw = json.loads(builtin_config_path("three_bus").read_text())
+    for inj, value in zip(raw["injections"], (1.0, -0.5)):
+        inj.update(values_mw=[value], probabilities=[1.0])
+    return parse_config(raw)
+
+
+def histogram_study(study):
     if study == "nine_qubit_ring":
-        cfg = nine_qubit_ring()
-    elif study == "sixteen_qubit_ring":
-        cfg = parse_config(ring_study(8))
-    else:
-        cfg = load_config(builtin_config_path(study))
+        return nine_qubit_ring()
+    if study == "sixteen_qubit_ring":
+        return parse_config(ring_study(8))
+    if study == "zero_qubit":
+        return zero_qubit_study()
+    return load_config(builtin_config_path(study))
+
+
+@pytest.mark.parametrize("study, stage, block", [
+    *[(name, stage, None) for name in ("three_bus", "five_bus", "nine_qubit_ring", "zero_qubit")
+      for stage in STAGES],
+    ("sixteen_qubit_ring", "psi", None),  # four blocks of 2^14 rows
+    ("sixteen_qubit_ring", "L", None),
+    # blocks of 7 or 64 rows: many blocks and a short last one at small n
+    *[(name, stage, block) for name in ("three_bus", "nine_qubit_ring") for stage in STAGES
+      for block in (7, 64)],
+])
+def test_histogram_csv_equals_the_row_loop(study, stage, block, tmp_path, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", block)
+    cfg = histogram_study(study)
     out = export_histogram(cfg, stage, shots=4096, seed=11, path=tmp_path / "h.csv")
     state = stage_state(cfg, stage)
     assert out.read_text() == histogram_loop(state, sample_counts(state, 4096, 11))
+    if study == "zero_qubit":
+        assert out.read_text().splitlines()[1] == "0,4096,1"
+
+
+#: tracemalloc peak of ``_write_csv`` on a 16-qubit state in blocks of 2^10 rows
+#: was 0.20 MiB; the writer that formatted all rows from 2^16-long ``tolist()``
+#: lists peaked at 3.0 MiB (48 MiB at 20 qubits)
+BLOCK_WRITER_PEAK_MIB = 0.5
+
+
+def test_histogram_writer_holds_one_block(monkeypatch):
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 2**10)
+    state = stage_state(parse_config(ring_study(8)), "psi")
+    counts = sample_counts(state, 4096, 11)
+    with open(os.devnull, "wb") as f:
+        tracemalloc.start()
+        try:
+            runner._write_csv(f, state, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert state.n_qubits == 16
+    assert peak / 2**20 <= BLOCK_WRITER_PEAK_MIB
+
+
+def degenerate_stage_v(raw):
+    """Every loading stays below the 149% threshold, so stage V has no estimator."""
+    for line in raw["network"]["lines"]:
+        line["rating_mw"] = 2.0
+    raw["analysis"].update(metric="overload", threshold_pct=149.0)
+    return parse_config(raw)
+
+
+REFUSED_STAGES = {
+    "degenerate": lambda: degenerate_stage_v(json.loads(builtin_config_path("three_bus").read_text())),
+    "over-dense": lambda: parse_config(ring_study(7)),  # 14 qubits, over the dense limit
+}
+
+
+class TestHistogramOut:
+    @pytest.mark.parametrize("refusal", REFUSED_STAGES)
+    def test_refused_stage_unlinks_no_device(self, refusal, monkeypatch):
+        unlinked = []  # recorded, never done: no test may remove a device node
+        monkeypatch.setattr(Path, "unlink", lambda self, *a, **k: unlinked.append(self))
+        with pytest.raises(ConfigurationError):
+            export_histogram(REFUSED_STAGES[refusal](), "V", 16, 0, os.devnull)
+        assert unlinked == []
+
+    @pytest.mark.parametrize("refusal", REFUSED_STAGES)
+    def test_refused_stage_keeps_an_existing_file(self, refusal, tmp_path):
+        out, before = tmp_path / "h.csv", b"kept,\x00\xff\r\n" * 1000
+        out.write_bytes(before)
+        with pytest.raises(ConfigurationError):
+            export_histogram(REFUSED_STAGES[refusal](), "V", 16, 0, out)
+        assert out.read_bytes() == before
+
+    def test_export_replaces_a_longer_file(self, three_bus_config, tmp_path):
+        fresh = export_histogram(three_bus_config, "psi", 64, 3, tmp_path / "fresh.csv").read_bytes()
+        out = tmp_path / "h.csv"
+        out.write_bytes(b"x" * (3 * len(fresh)))
+        assert export_histogram(three_bus_config, "psi", 64, 3, out).read_bytes() == fresh
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_removes_only_a_created_file(self, existed, three_bus_config, tmp_path,
+                                                      monkeypatch):
+        def disk_full(f, state, counts):
+            f.write(b"bitstring,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner, "_write_csv", disk_full)
+        out = tmp_path / "h.csv"
+        if existed:
+            out.write_text("old\n")
+        with pytest.raises(OSError, match="No space"):
+            export_histogram(three_bus_config, "psi", 64, 3, out)
+        assert out.exists() == existed
 
 
 class TestCli:

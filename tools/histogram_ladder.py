@@ -1,0 +1,74 @@
+"""Histogram size ladder: `gridqmc histogram` on ring studies of 8 to 20 qubits.
+
+Writes ``ring_study(n)`` (tests/conftest.py) for n = 4, 6, 8, 10 to a temporary
+directory and runs ``gridqmc histogram --stage psi|L`` on each in a fresh
+interpreter, each time to a new CSV. Prints one line per run: qubits, stage,
+source tree, wall time, the child's peak RSS (``os.wait4``) and the CSV's
+sha256.
+
+    python3 tools/histogram_ladder.py
+    python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3
+
+With several ``--src`` trees the runs alternate between them, so that two
+versions of the program are timed under the same machine load. Needs numpy
+and pytest (for tests/conftest.py); it is not part of the test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # tests.conftest imports gridqmc
+
+from tests.conftest import ring_study  # noqa: E402
+
+RING_BUSES = (4, 6, 8, 10)
+STAGES = ("psi", "L")
+
+
+def run_once(src: Path, study: Path, stage: str, out: Path) -> tuple[float, float, str]:
+    """Wall seconds, peak RSS in MB and CSV sha256 of one `gridqmc histogram` process."""
+    cmd = [sys.executable, "-m", "gridqmc.cli", "histogram", "--config", str(study),
+           "--stage", stage, "--shots", "1024", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    out.unlink()  # every run writes a new file, not over the last one
+    return wall, usage.ru_maxrss / 1024, digest
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", nargs="+", type=Path, default=[ROOT / "src"],
+                    help="gridqmc source trees to run, alternated (default: this checkout's src)")
+    ap.add_argument("--repeat", type=int, default=1, help="runs per study, stage and tree")
+    args = ap.parse_args(argv)
+    print("qubits stage src wall_s peak_rss_mb sha256")
+    with tempfile.TemporaryDirectory() as tmp:
+        for n_buses in RING_BUSES:
+            study = Path(tmp) / f"ring{n_buses}.json"
+            study.write_text(json.dumps(ring_study(n_buses)))
+            for stage in STAGES:
+                for _ in range(args.repeat):
+                    for src in args.src:
+                        wall, rss, digest = run_once(src.resolve(), study, stage, Path(tmp) / "h.csv")
+                        print(f"{2 * n_buses} {stage} {src} {wall:.3f} {rss:.1f} {digest[:16]}",
+                              flush=True)
+
+
+if __name__ == "__main__":
+    main()
