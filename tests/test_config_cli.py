@@ -351,24 +351,34 @@ def histogram_study(study):
     return load_config(builtin_config_path(study))
 
 
-@pytest.mark.parametrize("study, stage, block", [
-    *[(name, stage, None) for name in ("three_bus", "five_bus", "nine_qubit_ring", "zero_qubit")
-      for stage in STAGES],
-    ("sixteen_qubit_ring", "psi", None),  # four blocks of 2^14 rows
-    ("sixteen_qubit_ring", "L", None),
-    # blocks of 7 or 64 rows: many blocks and a short last one at small n
-    *[(name, stage, block) for name in ("three_bus", "nine_qubit_ring") for stage in STAGES
-      for block in (7, 64)],
-])
-def test_histogram_csv_equals_the_row_loop(study, stage, block, tmp_path, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", block)
+def assert_histogram_csv_equals_the_row_loop(study, stage, tmp_path):
     cfg = histogram_study(study)
     out = export_histogram(cfg, stage, shots=4096, seed=11, path=tmp_path / "h.csv")
     state = stage_state(cfg, stage)
     assert out.read_text() == histogram_loop(state, sample_counts(state, 4096, 11))
     if study == "zero_qubit":
         assert out.read_text().splitlines()[1] == "0,4096,1"
+
+
+@pytest.mark.parametrize("study, stage", [
+    *[(name, stage) for name in ("three_bus", "five_bus", "nine_qubit_ring", "zero_qubit")
+      for stage in STAGES],
+    ("sixteen_qubit_ring", "psi"),  # four blocks of 2^14 rows
+    ("sixteen_qubit_ring", "L"),
+])
+def test_histogram_csv_equals_the_row_loop(study, stage, tmp_path):
+    assert_histogram_csv_equals_the_row_loop(study, stage, tmp_path)
+
+
+# blocks of 7 or 64 rows: many blocks and a short last one at small n
+@pytest.mark.parametrize("study, stage, block", [
+    (name, stage, block) for name in ("three_bus", "nine_qubit_ring") for stage in STAGES
+    for block in (7, 64)
+])
+def test_histogram_csv_in_small_blocks_equals_the_row_loop(study, stage, block, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", block)
+    assert_histogram_csv_equals_the_row_loop(study, stage, tmp_path)
 
 
 #: tracemalloc peak of ``_write_csv`` on a 16-qubit state in blocks of 2^10 rows
