@@ -157,28 +157,31 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
 def export_histogram(
     config: PipelineConfig, stage: str, shots: int, seed: int, path: str | Path
 ) -> Path:
-    """Write per-basis-state counts and exact probabilities as CSV.
+    """Write per-basis-state counts and exact probabilities as CSV, ``CSV_BLOCK_ROWS`` rows per block.
 
-    ``path`` is opened before any work and not truncated: a refused stage or a
-    failed write removes only a file this call created, and a file that stood
-    there is overwritten in place and cut to length after the write.  Rows are
-    formatted ``CSV_BLOCK_ROWS`` at a time, each block by one bytes ``%``.
+    ``path`` is opened before any work and emptied only once the stage is sampled. A refused stage
+    leaves it as it was; a failed write removes it if this call created it and empties it otherwise.
     """
     if shots < 1:  # refused before ``path`` is opened
         raise ConfigurationError("shots must be >= 1")
     out = Path(path)
-    created = not out.exists()
-    with out.open("wb" if created else "r+b") as f:
+    try:  # "xb" tells whether this call creates the file; "ab" needs no read access
+        f, created = out.open("xb", buffering=0), True
+    except FileExistsError:
+        f, created = out.open("ab", buffering=0), False
+    with f:  # unbuffered, so a failed write leaves nothing to flush at close
+        emptied = False
         try:
             state = stage_state(config, stage)
             counts = sample_counts(state, shots, seed)
+            if emptied := out.is_file():  # a device or a pipe has no length to cut
+                f.truncate(0)  # "ab" writes at the end of the file, now offset 0
             _write_csv(f, state, counts)
-            if out.is_file():  # a device or a pipe has no length to cut
-                f.truncate()
         except BaseException:
-            f.close()
             if created:
                 out.unlink()
+            elif emptied:
+                f.truncate(0)
             raise
     return out
 
@@ -186,7 +189,7 @@ def export_histogram(
 def _write_csv(f, state: StateVector, counts: np.ndarray) -> None:
     # one bit column even at 0 qubits, where ``{:00b}`` prints "0" and an S0 view raises
     width = max(state.n_qubits, 1)
-    f.write(b"bitstring,count,exact_probability\n")
+    head = b"bitstring,count,exact_probability\n"
     for start in range(0, state.dim, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, state.dim)
         # big-endian uint32 bytes unpacked to bits, most significant first, as ASCII digits
@@ -196,4 +199,7 @@ def _write_csv(f, state: StateVector, counts: np.ndarray) -> None:
         rows[0::3] = bits.view(f"S{width}").ravel().tolist()
         rows[1::3] = counts[start:stop].tolist()
         rows[2::3] = (state.amplitudes[start:stop] ** 2).tolist()  # state.probabilities(), per block
-        f.write(b"%s,%d,%.12g\n" * (stop - start) % tuple(rows))
+        block = memoryview((head + b"%s,%d,%.12g\n" * (stop - start)) % tuple(rows))
+        head = b""
+        while block:  # an unbuffered file may take part of a block
+            block = block[f.write(block):]

@@ -381,6 +381,25 @@ def test_histogram_csv_in_small_blocks_equals_the_row_loop(study, stage, block, 
     assert_histogram_csv_equals_the_row_loop(study, stage, tmp_path)
 
 
+class ShortWrites:
+    """A file whose every write takes at most 100 bytes, as an unbuffered file may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, b):
+        self.data += b[:100]
+        return min(len(b), 100)
+
+
+def test_histogram_writer_finishes_short_writes():
+    state = stage_state(nine_qubit_ring(), "L")
+    counts = sample_counts(state, 4096, 11)
+    f = ShortWrites()
+    runner._write_csv(f, state, counts)
+    assert f.data.decode() == histogram_loop(state, counts)
+
+
 #: tracemalloc peak of ``_write_csv`` on a 16-qubit state in blocks of 2^10 rows
 #: was 0.20 MiB; the writer that formatted all rows from 2^16-long ``tolist()``
 #: lists peaked at 3.0 MiB (48 MiB at 20 qubits)
@@ -439,20 +458,41 @@ class TestHistogramOut:
         out.write_bytes(b"x" * (3 * len(fresh)))
         assert export_histogram(three_bus_config, "psi", 64, 3, out).read_bytes() == fresh
 
-    @pytest.mark.parametrize("existed", [False, True])
-    def test_failed_write_removes_only_a_created_file(self, existed, three_bus_config, tmp_path,
-                                                      monkeypatch):
-        def disk_full(f, state, counts):
-            f.write(b"bitstring,")
-            raise OSError(28, "No space left on device")
+    @pytest.mark.parametrize("refusal", REFUSED_STAGES)
+    def test_refused_stage_keeps_a_dangling_symlink(self, refusal, tmp_path):
+        out = tmp_path / "h.csv"
+        out.symlink_to(tmp_path / "missing.csv")
+        with pytest.raises(ConfigurationError):
+            export_histogram(REFUSED_STAGES[refusal](), "V", 16, 0, out)
+        assert out.is_symlink()
 
-        monkeypatch.setattr(runner, "_write_csv", disk_full)
+    def test_existing_file_opened_for_writing_only(self, three_bus_config, tmp_path, monkeypatch):
+        out, modes, path_open = tmp_path / "h.csv", [], Path.open
+        out.write_text("old\n")
+        monkeypatch.setattr(Path, "open", lambda self, mode="r", *a, **k: modes.append(mode)
+                            or path_open(self, mode, *a, **k))
+        export_histogram(three_bus_config, "psi", 64, 3, out)
+        assert modes and not any(set(mode) & set("r+w") for mode in modes)  # no read, no truncate
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_removes_only_a_created_file(self, existed, error, three_bus_config, tmp_path,
+                                                      monkeypatch):
+        def failing_write(f, state, counts):
+            f.write(b"bitstring,")
+            raise error
+
+        monkeypatch.setattr(runner, "_write_csv", failing_write)
         out = tmp_path / "h.csv"
         if existed:
-            out.write_text("old\n")
-        with pytest.raises(OSError, match="No space"):
+            out.write_text("old\n" * 100)
+        with pytest.raises(type(error)):
             export_histogram(three_bus_config, "psi", 64, 3, out)
-        assert out.exists() == existed
+        if existed:  # left empty: neither a partial CSV nor old rows behind it
+            assert out.read_bytes() == b""
+        else:
+            assert not out.exists()
 
 
 class TestCli:
