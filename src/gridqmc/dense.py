@@ -4,9 +4,12 @@ Every factor of the structured :class:`~gridqmc.flowmap.PipelineOperator` is
 materialized here as a matrix whose unitarity is checked in O(d^3): the
 per-bus state preps, the 0/1 flow map and its completion C = P R, the
 metric reflection, their product A and the Grover operator Q = A S0 A^T Sg.
-Each 2^n x 2^n operator takes 2^(2n + 3) bytes, so the builders stop at
-``MAX_DENSE_QUBITS``.  They serve histogram stage V and check the
-structured operator in the tests.
+A product by a permutation (P, or R when no level is reflected) or by a
+diagonal sign matrix S0, Sg is an index operation (a column gather or
+negation) that gives the product's entries exactly; every factor, A and Q
+keep their O(d^3) check.  Each 2^n x 2^n operator takes 2^(2n + 3) bytes,
+so the builders stop at ``MAX_DENSE_QUBITS``.  They serve histogram stage V
+and check the structured operator in the tests.
 """
 from __future__ import annotations
 
@@ -44,8 +47,10 @@ class UnitaryMatrix:
         n, m = mat.shape
         if n != m or n & (n - 1) != 0:
             raise ConfigurationError("unitary must be square with power-of-two dimension")
-        residual = np.max(np.abs(mat.T @ mat - np.eye(n)))
-        if residual > _UNITARY_TOL * n:
+        gram = mat.T @ mat
+        gram.flat[:: n + 1] -= 1.0  # max|mat^T mat - I| in place: x - 0.0 is x
+        residual = np.abs(gram, out=gram).max()
+        if not residual <= _UNITARY_TOL * n:  # a NaN residual is refused too
             raise ConfigurationError(f"matrix is not unitary (residual {residual:.2e})")
 
     @property
@@ -59,7 +64,10 @@ class UnitaryMatrix:
 
 def reflection_unitary(w: np.ndarray, gain: float) -> UnitaryMatrix:
     """Dense form ``I - gain w w^T`` of a :func:`~gridqmc.simulator.householder` reflection."""
-    return UnitaryMatrix(np.eye(len(w)) - gain * np.outer(w, w))
+    r = np.outer(w, w)
+    r *= -gain
+    r.flat[:: len(w) + 1] += 1.0  # bit for bit np.eye(len(w)) - gain * np.outer(w, w)
+    return UnitaryMatrix(r)
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -155,10 +163,10 @@ def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
     the two dense factors.
     """
     completion = LevelCompletion.from_levels(lf_map)
-    return UnitaryFactorization(
-        v_h=UnitaryMatrix(_reflection_matrix(completion)),
-        u_padded=UnitaryMatrix(completion.permute(np.eye(lf_map.n_columns))),
-    )
+    n = lf_map.n_columns
+    p = np.zeros((n, n))
+    p[np.arange(n), np.concatenate([completion.first, completion.rest])] = 1.0  # completion.permute(np.eye(n))
+    return UnitaryFactorization(v_h=UnitaryMatrix(_reflection_matrix(completion)), u_padded=UnitaryMatrix(p))
 
 
 def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
@@ -188,6 +196,15 @@ class PipelineUnitary:
         return self.a.dim - 1
 
 
+def _times(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``x @ u``, as a column gather of ``x`` when ``u`` is a permutation: one entry times 1 plus zeros."""
+    if np.count_nonzero(u) == len(u):
+        order = u.argmax(axis=1)  # the column of each row's 1
+        if np.all(u[np.arange(len(u)), order] == 1.0):
+            return x.take(np.argsort(order), axis=1)
+    return x @ u
+
+
 def assemble_pipeline(
     preps: list[UnitaryMatrix],
     factorization: UnitaryFactorization,
@@ -196,12 +213,12 @@ def assemble_pipeline(
 ) -> PipelineUnitary:
     """Multiply the stage unitaries into one dense operator."""
     prep = preps[0].entries
-    for p in preps[1:]:
-        prep = np.kron(prep, p.entries)
+    for p in preps[1:]:  # joined by broadcasting, bit for bit np.kron(prep, p)
+        prep = (prep[:, None, :, None] * p.entries[None, :, None, :]).reshape(len(prep) * p.dim, -1)
     dim = factorization.v_h.dim
     if prep.shape[0] != dim or h.dim != dim:
         raise ConfigurationError("stage dimensions do not match")
-    a = h.entries @ factorization.u_padded.entries @ factorization.v_h.entries @ prep
+    a = _times(_times(h.entries, factorization.u_padded.entries), factorization.v_h.entries) @ prep
     return PipelineUnitary(a=UnitaryMatrix(a), scaling=scaling)
 
 
@@ -252,13 +269,11 @@ class GroverOperator:
 
 def build_grover(a: PipelineUnitary) -> GroverOperator:
     """Assemble the dense Grover operator and verify its rotation identity."""
-    dim = a.a.dim
     amat = a.a.entries
-    s0 = np.eye(dim)
-    s0[0, 0] = -1.0
-    sg = np.eye(dim)
-    sg[a.good_state_index, a.good_state_index] = -1.0
-    q = amat @ s0 @ amat.T @ sg
+    a_s0 = amat.copy()
+    a_s0[:, 0] *= -1.0  # amat @ S0, S0 = I - 2|0><0|
+    q = a_s0 @ amat.T
+    q[:, a.good_state_index] *= -1.0  # @ Sg, Sg = I - 2|g><g|: bit for bit amat @ s0 @ amat.T @ sg
     op = GroverOperator(q=UnitaryMatrix(q), a_op=a)
     _check_rotation(op)
     return op

@@ -110,7 +110,7 @@ def _check_rotation(op: GroverIterate) -> None:
     for k in range(3):
         expected = math.sin((2 * k + 1) * theta) ** 2
         got = op.good_probability(k)
-        if abs(got - expected) > _PHASE_CHECK_TOL:
+        if not abs(got - expected) <= _PHASE_CHECK_TOL:  # NaN fails too
             raise ConfigurationError(
                 f"Grover rotation identity violated at k={k}: {got} vs {expected}"
             )

@@ -120,13 +120,8 @@ class PtdfMatrix:
         return self.h[j, keep].copy()
 
 
-def build_ptdf(network: Network) -> PtdfMatrix:
-    """Build the unrated distribution-factor matrix from the susceptance data.
-
-    Solves the reduced nodal system (slack row/column removed) and applies
-    the line-to-bus susceptance map, so that ``h @ p`` equals the DC branch
-    flows for any injection vector ``p`` with the slack absorbing the balance.
-    """
+def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Line susceptances by bus, the reduced nodal inverse (refused if singular or overflowing) and the kept buses."""
     buses = list(network.bus_ids)
     n_bus = len(buses)
     pos = {b: i for i, b in enumerate(buses)}
@@ -152,14 +147,24 @@ def build_ptdf(network: Network) -> PtdfMatrix:
         raise DisconnectedNetworkError("reduced susceptance matrix is singular") from exc
     if not np.all(np.isfinite(inv)):
         raise DisconnectedNetworkError("reduced susceptance matrix is singular")
+    return b_flow, inv, keep
 
-    h = np.zeros((len(network.lines), n_bus))
+
+def build_ptdf(network: Network) -> PtdfMatrix:
+    """Build the unrated distribution-factor matrix from the susceptance data.
+
+    Solves the reduced nodal system (slack row/column removed) and applies
+    the line-to-bus susceptance map, so that ``h @ p`` equals the DC branch
+    flows for any injection vector ``p`` with the slack absorbing the balance.
+    """
+    b_flow, inv, keep = _nodal_solve(network)
+    h = np.zeros(b_flow.shape)
     h[:, keep] = b_flow[:, keep] @ inv
     return PtdfMatrix(
         h=h,
         rated=False,
         line_order=tuple(line.label for line in network.lines),
-        bus_order=tuple(buses),
+        bus_order=network.bus_ids,
         slack_bus=network.slack_bus,
     )
 

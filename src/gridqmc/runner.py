@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, build_pipeline_operator, line_levels
-from .grid import build_ptdf, rate_scale_ptdf
+from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, sample_counts
 
@@ -137,9 +137,12 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
-    h_row, distributions = _analysis_inputs(config)
-    n_qubits = sum(d.n_qubits for d in distributions)
-    check_qubit_count(n_qubits)
+    if stage == "psi":  # reads no PTDF, but refuses a network that build_ptdf refuses
+        _nodal_solve(config.network)
+        distributions = config.ordered_injections()
+    else:
+        h_row, distributions = _analysis_inputs(config)
+    check_qubit_count(sum(d.n_qubits for d in distributions))
     if stage == "V":
         threshold = an.threshold_fraction if an.metric == "overload" else None
         pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)

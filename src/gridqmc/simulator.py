@@ -103,7 +103,7 @@ def probe_unitary(
     if adjoint is not None:
         back = adjoint(ux) - x
         residual = max(residual, float(np.max(np.abs(back, out=back))))
-    if residual > _UNITARY_TOL:
+    if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
         raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
     return x
 

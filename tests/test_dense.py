@@ -1,0 +1,141 @@
+"""Each index operation of the dense builders against the matrix product it replaces, bit for bit."""
+import numpy as np
+import pytest
+
+from gridqmc import (
+    ConfigurationError,
+    InjectionDistribution,
+    UnitaryMatrix,
+    assemble_pipeline,
+    build_estimator_vector,
+    build_grover,
+    build_line_map,
+    builtin_config_path,
+    encode,
+    householder_unitary,
+    load_config,
+    orthonormalize_rows,
+    state_prep_unitary,
+    unitary_factorize,
+)
+from gridqmc.dense import UnitaryFactorization, reflection_unitary
+from gridqmc.flowmap import LevelCompletion, _metric_reflection
+from gridqmc.runner import _analysis_inputs
+from gridqmc.simulator import _UNITARY_TOL, householder
+from tests.conftest import nine_qubit_ring, random_distribution
+
+
+def _study(config):
+    an = config.analysis
+    h_row, dists = _analysis_inputs(config)
+    return h_row, dists, an.metric, an.threshold_fraction if an.metric == "overload" else None
+
+
+def _tied_grid():
+    """Equal sensitivities on 4-level buses: many joint states share a loading level."""
+    dists = [
+        InjectionDistribution(bus=b, values_mw=np.arange(4) - 2, probabilities=p)
+        for b, p in ((1, [0.1, 0.2, 0.3, 0.4]), (2, [0.4, 0.3, 0.2, 0.1]), (3, [0.25, 0.25, 0.25, 0.25]))
+    ]
+    return np.array([0.25, 0.25, -0.125]), dists, "mean", None
+
+
+def _distinct_grid():
+    """Random levels and sensitivities: every joint state is a level of its own."""
+    rng = np.random.default_rng(11)
+    return rng.uniform(-0.3, 0.3, 3), [random_distribution(rng, b) for b in (1, 2, 3)], "overload", 0.1
+
+
+STUDIES = {
+    "three_bus": lambda: _study(load_config(builtin_config_path("three_bus"))),
+    "five_bus": lambda: _study(load_config(builtin_config_path("five_bus"))),
+    "nine_qubit_ring": lambda: _study(nine_qubit_ring()),
+    "tied_grid": _tied_grid,
+    "distinct_grid": _distinct_grid,
+}
+
+
+@pytest.fixture(params=list(STUDIES), scope="module")
+def parts(request):
+    h_row, dists, metric, threshold = STUDIES[request.param]()
+    encodings = [encode(d) for d in dists]
+    n_qubits = sum(e.n_qubits for e in encodings)
+    lf_map = orthonormalize_rows(build_line_map(h_row, dists))
+    estimator = build_estimator_vector(lf_map, metric, n_qubits, encodings, threshold)
+    assert not estimator.is_degenerate
+    fact = unitary_factorize(lf_map)
+    identity = np.array_equal(fact.v_h.entries, np.eye(fact.v_h.dim))
+    assert identity == (request.param == "distinct_grid")  # the grids cover v_h = I and v_h != I
+    return request.param, encodings, lf_map, estimator, fact
+
+
+def test_permutation_is_the_completion_applied_to_the_identity(parts):
+    _, _, lf_map, _, fact = parts
+    completion = LevelCompletion.from_levels(lf_map)
+    assert np.array_equal(fact.u_padded.entries, completion.permute(np.eye(lf_map.n_columns)))
+
+
+def test_reflections_equal_identity_minus_outer_product(parts):
+    _, encodings, _, estimator, _ = parts
+    reflections = [householder(e.amplitudes, 0) for e in encodings] + [_metric_reflection(estimator.v)]
+    for w, gain in reflections:
+        expected = np.eye(len(w)) - gain * np.outer(w, w)
+        assert np.array_equal(reflection_unitary(w, gain).entries, expected)
+
+
+def test_assembly_equals_the_product_of_the_stage_matrices(parts):
+    _, encodings, _, estimator, fact = parts
+    preps = [state_prep_unitary(e) for e in encodings]
+    h = householder_unitary(estimator.v)
+    kron = preps[0].entries
+    for p in preps[1:]:
+        kron = np.kron(kron, p.entries)
+    expected = h.entries @ fact.u_padded.entries @ fact.v_h.entries @ kron
+    assert np.array_equal(assemble_pipeline(preps, fact, h, estimator.scaling).a.entries, expected)
+
+
+def test_grover_equals_the_three_product_form(parts):
+    _, encodings, _, estimator, fact = parts
+    preps = [state_prep_unitary(e) for e in encodings]
+    pipe = assemble_pipeline(preps, fact, householder_unitary(estimator.v), estimator.scaling)
+    a, dim, g = pipe.a.entries, pipe.a.dim, pipe.good_state_index
+    s0, sg = np.eye(dim), np.eye(dim)
+    s0[0, 0] = sg[g, g] = -1.0
+    assert np.array_equal(build_grover(pipe).q.entries, a @ s0 @ a.T @ sg)
+
+
+def test_perturbed_matrix_is_refused_with_the_full_residual(parts):
+    _, _, _, _, fact = parts
+    m = fact.u_padded.entries @ fact.v_h.entries
+    n = len(m)
+    m[n // 2, 1] += 1e-6
+    residual = np.max(np.abs(m.T @ m - np.eye(n)))
+    assert residual > _UNITARY_TOL * n
+    with pytest.raises(ConfigurationError, match=rf"\(residual {residual:.2e}\)$"):
+        UnitaryMatrix(m)
+
+
+def test_nan_matrix_is_refused():
+    m = np.eye(4)
+    m[2, 3] = np.nan  # a NaN residual fails no ``>`` comparison
+    with pytest.raises(ConfigurationError, match=r"not unitary \(residual nan\)"):
+        UnitaryMatrix(m)
+
+
+def _near_identity():
+    u = np.eye(4)
+    u[0, 1] = 1e-11  # within the unitarity tolerance, but h @ u is no column gather of h
+    return u
+
+
+@pytest.mark.parametrize("u", [
+    np.kron(np.eye(2), [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+    _near_identity(),
+    np.diag([1.0, -1.0, 1.0, 1.0]),
+], ids=["rotation", "near-identity", "sign-flip"])
+def test_assembly_multiplies_a_factor_that_is_no_permutation(u):
+    rng = np.random.default_rng(5)
+    h = reflection_unitary(*householder(rng.dirichlet(np.ones(4)) ** 0.5, 0))
+    fact = UnitaryFactorization(v_h=UnitaryMatrix(np.eye(4)[[2, 0, 3, 1]]), u_padded=UnitaryMatrix(u))
+    expected = h.entries @ u @ fact.v_h.entries
+    assert np.array_equal(assemble_pipeline([UnitaryMatrix(np.eye(4))], fact, h, 1.0).a.entries, expected)

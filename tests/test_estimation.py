@@ -15,7 +15,7 @@ from gridqmc import (
     rescale,
     zero_state,
 )
-from gridqmc.estimation import EstimationResult, _clopper_pearson, _find_next_k
+from gridqmc.estimation import EstimationResult, _check_rotation, _clopper_pearson, _find_next_k
 from gridqmc.runner import _analysis_inputs
 
 
@@ -50,6 +50,11 @@ class TestGrover:
         # theta = pi/6: one amplification step reaches certainty
         g = build_grover(rotation_oracle(0.25))
         assert g.good_probability(1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rotation_check_refuses_nan(self):
+        nan_after_one_step = type("Op", (), {"good_probability": lambda self, k: 0.25 if k == 0 else math.nan})
+        with pytest.raises(ConfigurationError, match="rotation identity violated at k=1"):
+            _check_rotation(nan_after_one_step())
 
     def test_phase_identity_k_up_to_5(self, three_bus_grover):
         g, a_true = three_bus_grover

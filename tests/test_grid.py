@@ -7,8 +7,15 @@ from gridqmc import (
     Line,
     Network,
     build_ptdf,
+    encode,
+    joint_state,
     rate_scale_ptdf,
+    stage_state,
 )
+from gridqmc import runner
+from gridqmc.config import parse_config
+from gridqmc.runner import STAGES
+from tests.conftest import nine_qubit_ring, ring_study
 
 
 def nodal_flow_solve(network: Network, injections: dict[int, float]) -> np.ndarray:
@@ -133,3 +140,33 @@ def test_bad_line_rejected(line):
 def test_missing_slack_rejected():
     with pytest.raises(ConfigurationError):
         Network((1, 2), slack_bus=9, lines=(Line(1, 2, 1.0, 1.0),))
+
+
+def bridged_by_a_subnormal_line():
+    """Connected tree 1-2-3 whose line 2-3 has a subnormal susceptance: its PTDF overflows."""
+    raw = ring_study(2)
+    raw["network"]["lines"] = raw["network"]["lines"][:2]
+    raw["network"]["lines"][1]["susceptance_pu"] = 5e-324
+    return parse_config(raw)
+
+
+def test_connected_network_with_an_overflowing_inverse_is_refused():
+    with pytest.raises(DisconnectedNetworkError, match="singular"):
+        build_ptdf(bridged_by_a_subnormal_line().network)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_refuses_what_build_ptdf_refuses(stage):
+    with pytest.raises(DisconnectedNetworkError, match="singular"):
+        stage_state(bridged_by_a_subnormal_line(), stage)
+
+
+def test_stage_psi_builds_no_ptdf(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("stage psi built the PTDF")
+
+    monkeypatch.setattr(runner, "build_ptdf", refuse)
+    monkeypatch.setattr(runner, "rate_scale_ptdf", refuse)
+    config = nine_qubit_ring()
+    psi = joint_state([encode(d) for d in config.ordered_injections()])
+    assert np.array_equal(stage_state(config, "psi").amplitudes, psi.amplitudes)

@@ -220,6 +220,11 @@ def test_probe_rejects_a_non_unitary_operator():
     probe_unitary(lambda x: x[::-1], 8, adjoint=lambda x: x[::-1])
 
 
+def test_probe_rejects_a_nan_operator():
+    with pytest.raises(ConfigurationError, match=r"not unitary \(probe residual nan\)"):
+        probe_unitary(lambda x: x * np.nan, 8, adjoint=lambda x: x)
+
+
 def test_sixteen_qubit_iqae_smoke():
     h_row, dists = synthetic_grid(8)
     op, _, est = build_pipeline_operator(h_row, dists, "mean")

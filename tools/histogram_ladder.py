@@ -2,9 +2,10 @@
 
 Writes ``ring_study(n)`` (tests/conftest.py) for n = 4, 6, 8, 10 to a temporary
 directory and runs ``gridqmc histogram --stage psi|L`` on each in a fresh
-interpreter, each time to a new CSV. Prints one line per run: qubits, stage,
-source tree, wall time, the child's peak RSS (``os.wait4``) and the CSV's
-sha256.
+interpreter, each time to a new CSV, and ``--stage V`` on the rungs of at most
+``dense.MAX_DENSE_QUBITS`` qubits (n = 4 and 6: 8 and 12 qubits). Prints one
+line per run: qubits, stage, source tree, wall time, the child's peak RSS
+(``os.wait4``) and the CSV's sha256.
 
     python3 tools/histogram_ladder.py
     python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3
@@ -28,10 +29,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # tests.conftest imports gridqmc
 
+from gridqmc.dense import MAX_DENSE_QUBITS  # noqa: E402
 from tests.conftest import ring_study  # noqa: E402
 
 RING_BUSES = (4, 6, 8, 10)
-STAGES = ("psi", "L")
+STAGES = ("psi", "L", "V")
 
 
 def run_once(src: Path, study: Path, stage: str, out: Path) -> tuple[float, float, str]:
@@ -62,7 +64,7 @@ def main(argv: list[str] | None = None) -> None:
         for n_buses in RING_BUSES:
             study = Path(tmp) / f"ring{n_buses}.json"
             study.write_text(json.dumps(ring_study(n_buses)))
-            for stage in STAGES:
+            for stage in STAGES if 2 * n_buses <= MAX_DENSE_QUBITS else STAGES[:2]:  # V is dense
                 for _ in range(args.repeat):
                     for src in args.src:
                         wall, rss, digest = run_once(src.resolve(), study, stage, Path(tmp) / "h.csv")
