@@ -1,19 +1,26 @@
 """Dense builders: the pipeline and Grover operators as checked matrices, the small-n oracle.
 
 Every factor of the structured :class:`~gridqmc.flowmap.PipelineOperator` is
-materialized here as a matrix whose unitarity is checked in O(d^3): the
-per-bus state preps, the 0/1 flow map and its completion C = P R, the
-metric reflection, their product A and the Grover operator Q = A S0 A^T Sg.
-A product by a permutation (P, or R when no level is reflected) or by a
-diagonal sign matrix S0, Sg is an index operation (a column gather or
-negation) that gives the product's entries exactly; every factor, A and Q
-keep their O(d^3) check.  Each 2^n x 2^n operator takes 2^(2n + 3) bytes,
-so the builders stop at ``MAX_DENSE_QUBITS``.  They serve histogram stage V
-and check the structured operator in the tests.
+materialized here as a checked matrix: the per-bus state preps, the 0/1 flow
+map and its completion C = P R, the metric reflection, their product A and
+the Grover operator Q = A S0 A^T Sg.  The unitarity check is exact by
+structure for a 0/1 permutation matrix (P, and R when no level is
+reflected): an O(d^2) test finds it, and P^T P = I needs no gram.  The
+metric reflection, a reflected R, A and Q keep their O(d^3) gram at the
+same tolerance.  A product by a permutation or by a diagonal sign matrix
+S0, Sg is an index operation (a column gather, none for the identity, or a
+negation) that gives the product's entries exactly, so stage V makes three
+d x d BLAS calls when R = I: the metric reflection's gram, A = H P R prep
+and A's gram.  A matrix that a builder here makes is checked in place, not
+copied, and each d x d temporary is freed before the next product.  Each
+2^n x 2^n operator takes 2^(2n + 3) bytes, so the builders stop at
+``MAX_DENSE_QUBITS``.  They serve histogram stage V and check the
+structured operator in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,16 +44,36 @@ MAX_DENSE_QUBITS = 12
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense real orthogonal operator on n qubits, checked at construction."""
+    """Dense real orthogonal operator on n qubits, checked at construction.
+
+    A 0/1 permutation matrix is recognized in O(d^2) and accepted without its
+    gram, as P^T P = I exactly; ``order`` then holds the column of each row's
+    1.  Any other matrix is checked by its O(d^3) gram.
+    """
 
     entries: np.ndarray
+    order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = _frozen_real(self.entries)
+        self._check(_frozen_real(self.entries))
+
+    @classmethod
+    def _built(cls, mat: np.ndarray) -> "UnitaryMatrix":
+        """Check a float64 array that a builder here has just made: frozen in place, not copied."""
+        u = object.__new__(cls)
+        mat.setflags(write=False)
+        u._check(mat)
+        return u
+
+    def _check(self, mat: np.ndarray) -> None:
         object.__setattr__(self, "entries", mat)
-        n, m = mat.shape
-        if n != m or n & (n - 1) != 0:
+        n = len(mat) if mat.ndim == 2 else 0
+        if mat.shape != (n, n) or n < 1 or n & (n - 1) != 0:
             raise ConfigurationError("unitary must be square with power-of-two dimension")
+        order = _permutation_order(mat)
+        object.__setattr__(self, "order", order)
+        if order is not None:
+            return  # the gram's residual would be exactly 0.0
         gram = mat.T @ mat
         gram.flat[:: n + 1] -= 1.0  # max|mat^T mat - I| in place: x - 0.0 is x
         residual = np.abs(gram, out=gram).max()
@@ -62,12 +89,29 @@ class UnitaryMatrix:
         return int(self.entries.shape[0]).bit_length() - 1
 
 
+def _permutation_order(mat: np.ndarray) -> np.ndarray | None:
+    """The column of each row's 1 if ``mat`` is a 0/1 permutation matrix, else None, in O(d^2).
+
+    Exactly n non-zeros (so a dense matrix costs one pass), each exactly 1.0,
+    one per row and one per column.  -0.0 counts as zero; a NaN or a -1 is no 1.
+    """
+    n = len(mat)
+    if np.count_nonzero(mat) != n:
+        return None
+    order = mat.argmax(axis=1)
+    if not np.all(mat[np.arange(n), order] == 1.0):  # n non-zeros and a 1 in every row: one per row
+        return None
+    hit = np.zeros(n, dtype=bool)
+    hit[order] = True
+    return order if hit.all() else None
+
+
 def reflection_unitary(w: np.ndarray, gain: float) -> UnitaryMatrix:
     """Dense form ``I - gain w w^T`` of a :func:`~gridqmc.simulator.householder` reflection."""
     r = np.outer(w, w)
     r *= -gain
     r.flat[:: len(w) + 1] += 1.0  # bit for bit np.eye(len(w)) - gain * np.outer(w, w)
-    return UnitaryMatrix(r)
+    return UnitaryMatrix._built(r)
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -151,8 +195,11 @@ def _reflection_matrix(c: LevelCompletion) -> np.ndarray:
     w[np.searchsorted(c.members, c.heads)] += 1.0
     s = np.sqrt(c.gain)[c.level] * w
     r = np.eye(len(c.first) + len(c.rest))
-    same_level = c.level[:, None] == c.level[None, :]
-    r[np.ix_(c.members, c.members)] -= same_level * np.outer(s, s)
+    by_level = np.argsort(c.level, kind="stable")
+    ends = np.cumsum(np.bincount(c.level, minlength=len(c.heads)))
+    for block in np.split(by_level, ends[:-1]):  # one level's block at a time; the rest stays 0.0
+        members = c.members[block]
+        r[np.ix_(members, members)] -= np.outer(s[block], s[block])
     return r
 
 
@@ -166,7 +213,9 @@ def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
     n = lf_map.n_columns
     p = np.zeros((n, n))
     p[np.arange(n), np.concatenate([completion.first, completion.rest])] = 1.0  # completion.permute(np.eye(n))
-    return UnitaryFactorization(v_h=UnitaryMatrix(_reflection_matrix(completion)), u_padded=UnitaryMatrix(p))
+    return UnitaryFactorization(
+        v_h=UnitaryMatrix._built(_reflection_matrix(completion)), u_padded=UnitaryMatrix._built(p)
+    )
 
 
 def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
@@ -196,13 +245,25 @@ class PipelineUnitary:
         return self.a.dim - 1
 
 
-def _times(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``x @ u``, as a column gather of ``x`` when ``u`` is a permutation: one entry times 1 plus zeros."""
-    if np.count_nonzero(u) == len(u):
-        order = u.argmax(axis=1)  # the column of each row's 1
-        if np.all(u[np.arange(len(u)), order] == 1.0):
-            return x.take(np.argsort(order), axis=1)
-    return x @ u
+def _times(x: np.ndarray, u: UnitaryMatrix) -> np.ndarray:
+    """``x @ u``; by a permutation, the column gather that gives its entries (one entry times 1 plus zeros)."""
+    if u.order is None:
+        return x @ u.entries
+    if np.array_equal(u.order, np.arange(u.dim)):
+        return x  # the identity
+    return x.take(np.argsort(u.order), axis=1)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` bit for bit: one strided product per entry of the smaller factor."""
+    out = np.empty((len(a), len(b), len(a), len(b)))
+    if len(b) <= len(a):
+        for (i, j), x in np.ndenumerate(b):
+            np.multiply(a, x, out=out[:, i, :, j])
+    else:
+        for (i, j), x in np.ndenumerate(a):
+            np.multiply(x, b, out=out[i, :, j, :])
+    return out.reshape(len(a) * len(b), -1)
 
 
 def assemble_pipeline(
@@ -211,15 +272,21 @@ def assemble_pipeline(
     h: UnitaryMatrix,
     scaling: float,
 ) -> PipelineUnitary:
-    """Multiply the stage unitaries into one dense operator."""
-    prep = preps[0].entries
-    for p in preps[1:]:  # joined by broadcasting, bit for bit np.kron(prep, p)
-        prep = (prep[:, None, :, None] * p.entries[None, :, None, :]).reshape(len(prep) * p.dim, -1)
+    """Multiply the stage unitaries into one dense operator.
+
+    Each d x d temporary is freed before the next product: H P R, then the
+    Kronecker product of the preps, then A and its gram.
+    """
     dim = factorization.v_h.dim
-    if prep.shape[0] != dim or h.dim != dim:
+    if math.prod(p.dim for p in preps) != dim or h.dim != dim:
         raise ConfigurationError("stage dimensions do not match")
-    a = _times(_times(h.entries, factorization.u_padded.entries), factorization.v_h.entries) @ prep
-    return PipelineUnitary(a=UnitaryMatrix(a), scaling=scaling)
+    x = _times(_times(h.entries, factorization.u_padded), factorization.v_h)
+    prep = preps[0].entries
+    for p in preps[1:]:
+        prep = _kron(prep, p.entries)
+    a = x @ prep
+    del x, prep
+    return PipelineUnitary(a=UnitaryMatrix._built(a), scaling=scaling)
 
 
 def build_line_pipeline(
@@ -273,7 +340,8 @@ def build_grover(a: PipelineUnitary) -> GroverOperator:
     a_s0 = amat.copy()
     a_s0[:, 0] *= -1.0  # amat @ S0, S0 = I - 2|0><0|
     q = a_s0 @ amat.T
+    del a_s0
     q[:, a.good_state_index] *= -1.0  # @ Sg, Sg = I - 2|g><g|: bit for bit amat @ s0 @ amat.T @ sg
-    op = GroverOperator(q=UnitaryMatrix(q), a_op=a)
+    op = GroverOperator(q=UnitaryMatrix._built(q), a_op=a)
     _check_rotation(op)
     return op

@@ -129,18 +129,21 @@ def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     b_nodal = np.zeros((n_bus, n_bus))
     b_flow = np.zeros((len(network.lines), n_bus))
-    for j, line in enumerate(network.lines):
-        f, t = pos[line.from_bus], pos[line.to_bus]
-        b = line.susceptance
-        b_nodal[f, f] += b
-        b_nodal[t, t] += b
-        b_nodal[f, t] -= b
-        b_nodal[t, f] -= b
-        b_flow[j, f] = b
-        b_flow[j, t] = -b
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned about
+        for j, line in enumerate(network.lines):
+            f, t = pos[line.from_bus], pos[line.to_bus]
+            b = line.susceptance
+            b_nodal[f, f] += b
+            b_nodal[t, t] += b
+            b_nodal[f, t] -= b
+            b_nodal[t, f] -= b
+            b_flow[j, f] = b
+            b_flow[j, t] = -b
 
     keep = [i for i in range(n_bus) if i != slack_pos]
     reduced = b_nodal[np.ix_(keep, keep)]
+    if not np.all(np.isfinite(reduced)):  # inv would return zeros, a PTDF of all zeros
+        raise ConfigurationError("nodal susceptance sums overflow: the reduced susceptance matrix is not finite")
     try:
         inv = np.linalg.inv(reduced)
     except np.linalg.LinAlgError as exc:

@@ -1,4 +1,6 @@
 """Each index operation of the dense builders against the matrix product it replaces, bit for bit."""
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,12 @@ def test_nan_matrix_is_refused():
         UnitaryMatrix(m)
 
 
+@pytest.mark.parametrize("m", [np.zeros((0, 0)), np.ones(4), np.eye(2)[None]], ids=["empty", "vector", "3-d"])
+def test_what_is_no_square_matrix_is_refused_by_its_shape(m):
+    with pytest.raises(ConfigurationError, match="square with power-of-two dimension"):
+        UnitaryMatrix(m)  # the empty matrix has no non-zero, but is no permutation either
+
+
 def _near_identity():
     u = np.eye(4)
     u[0, 1] = 1e-11  # within the unitarity tolerance, but h @ u is no column gather of h
@@ -139,3 +147,60 @@ def test_assembly_multiplies_a_factor_that_is_no_permutation(u):
     fact = UnitaryFactorization(v_h=UnitaryMatrix(np.eye(4)[[2, 0, 3, 1]]), u_padded=UnitaryMatrix(u))
     expected = h.entries @ u @ fact.v_h.entries
     assert np.array_equal(assemble_pipeline([UnitaryMatrix(np.eye(4))], fact, h, 1.0).a.entries, expected)
+
+
+def _permutation(n, seed):
+    return np.eye(n)[np.random.default_rng(seed).permutation(n)]
+
+
+def _with(m, entry, value):
+    m = m.copy()
+    m[entry] = value
+    return m
+
+
+def _negative_zeros(m):
+    return np.where(m == 0.0, -0.0, m)
+
+
+#: (matrix, whether it is a 0/1 permutation); the others are left to the gram
+PERMUTATION_CASES = {
+    "identity-1x1": (np.eye(1), True),
+    "identity-8": (np.eye(8), True),
+    "permutation-2": (np.eye(2)[[1, 0]], True),
+    "permutation-16": (_permutation(16, 1), True),
+    "permutation-64": (_permutation(64, 2), True),
+    "negative-zeros": (_negative_zeros(_permutation(8, 3)), True),
+    "minus-one-1x1": (-np.eye(1), False),
+    "signed-permutation": (_permutation(8, 4) * np.where(np.arange(8) % 3, 1.0, -1.0)[:, None], False),
+    "one-ulp-above-1": (_with(np.eye(4)[[3, 1, 0, 2]], (2, 0), np.nextafter(1.0, 2.0)), False),
+    "repeated-column": (np.eye(4)[[0, 1, 1, 3]], False),  # one 1 per row, column 2 empty
+    "extra-one": (np.array([[1.0, 1.0], [0.0, 1.0]]), False),
+    "nan-for-a-one": (_with(np.eye(4)[[1, 0, 3, 2]], (2, 3), np.nan), False),
+}
+
+
+@pytest.mark.parametrize("case", list(PERMUTATION_CASES))
+def test_permutation_check_gives_the_grams_verdict(case):
+    m, is_permutation = PERMUTATION_CASES[case]
+    n = len(m)
+    residual = np.max(np.abs(m.T @ m - np.eye(n)))
+    if residual <= _UNITARY_TOL * n:
+        u = UnitaryMatrix(m)
+        assert (u.order is not None) == is_permutation
+        assert not is_permutation or np.array_equal(np.eye(n)[u.order], m)
+    else:  # a NaN residual too
+        assert not is_permutation
+        with pytest.raises(ConfigurationError, match=re.escape(f"(residual {residual:.2e})") + "$"):
+            UnitaryMatrix(m)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["identity", "permutation"])
+def test_assembly_gathers_by_permutation_factors(order):
+    rng = np.random.default_rng(6)
+    h = reflection_unitary(*householder(rng.dirichlet(np.ones(4)) ** 0.5, 0))
+    prep = reflection_unitary(*householder(rng.dirichlet(np.ones(4)) ** 0.5, 0))
+    p = np.eye(4)[order]
+    fact = UnitaryFactorization(v_h=UnitaryMatrix(np.eye(4)), u_padded=UnitaryMatrix(p))
+    expected = h.entries @ p @ np.eye(4) @ prep.entries
+    assert np.array_equal(assemble_pipeline([prep], fact, h, 1.0).a.entries, expected)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gridqmc import (
     stage_state,
 )
 from gridqmc import runner
+from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.runner import STAGES
 from tests.conftest import nine_qubit_ring, ring_study
@@ -159,6 +162,37 @@ def test_connected_network_with_an_overflowing_inverse_is_refused():
 def test_every_stage_refuses_what_build_ptdf_refuses(stage):
     with pytest.raises(DisconnectedNetworkError, match="singular"):
         stage_state(bridged_by_a_subnormal_line(), stage)
+
+
+def overflowing_nodal_sums():
+    """Tree 1-2-3 at 1e308 on both lines: bus 2's nodal susceptance sum overflows to inf."""
+    raw = ring_study(2)
+    raw["network"]["lines"] = raw["network"]["lines"][:2]
+    for line in raw["network"]["lines"]:
+        line["susceptance_pu"] = 1e308
+    return raw
+
+
+OVERFLOW = "nodal susceptance sums overflow"
+
+
+def test_overflowing_nodal_sums_are_refused_not_inverted_to_zeros():
+    # np.linalg.inv would return zeros here, and the 1-2 PTDF row would be [0, 0, 0]
+    with pytest.raises(ConfigurationError, match=OVERFLOW):
+        build_ptdf(parse_config(overflowing_nodal_sums()).network)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_refuses_overflowing_nodal_sums(stage):
+    with pytest.raises(ConfigurationError, match=OVERFLOW):
+        stage_state(parse_config(overflowing_nodal_sums()), stage)
+
+
+def test_run_refuses_overflowing_nodal_sums(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(overflowing_nodal_sums()))
+    assert main(["run", "--config", str(path)]) == 2
+    assert OVERFLOW in capsys.readouterr().err
 
 
 def test_stage_psi_builds_no_ptdf(monkeypatch):

@@ -6,14 +6,26 @@ bytes equal the program's output.  These tests hold that invariant without
 a benchmark run.
 """
 import importlib
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gridqmc import builtin_config_path, export_histogram, load_config, run_analysis
-from tests.conftest import nine_qubit_ring
+from gridqmc import (
+    build_line_map,
+    builtin_config_path,
+    export_histogram,
+    load_config,
+    orthonormalize_rows,
+    run_analysis,
+    unitary_factorize,
+)
+from gridqmc.config import parse_config
+from gridqmc.runner import _analysis_inputs
+from tests.conftest import nine_qubit_ring, ring_study
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 STUDIES = ["three_bus", "five_bus", "nine_qubit_ring"]
@@ -63,3 +75,23 @@ def test_replayed_analysis_equals_report(bench, name):
     untraced = run_analysis(cfg)
     report, _ = replay.replay_analysis(spans.Tracer(), cfg, untraced, Counter())
     assert report.to_json() == untraced.to_json()
+
+
+def v_study(case):
+    """A generated histogram-stages V study (every level distinct, R = I) or a tied ring (R != I)."""
+    if case == "tied_ring":
+        return parse_config(ring_study(3))
+    studies = [s for s in importlib.import_module("gen").generate("histogram-stages", 1) if s.stage == "V"]
+    return parse_config(json.loads(studies[int(case[-1])].text))
+
+
+@pytest.mark.parametrize("case", ["histogram_stages_v0", "histogram_stages_v1", "tied_ring"])
+def test_replayed_stage_v_equals_export_for_both_reflection_shapes(bench, case, tmp_path):
+    replay, spans = bench
+    cfg = v_study(case)
+    h_row, dists = _analysis_inputs(cfg)
+    r = unitary_factorize(orthonormalize_rows(build_line_map(h_row, dists))).v_h.entries
+    assert np.array_equal(r, np.eye(len(r))) == (case != "tied_ring")
+    seed = cfg.analysis.seed
+    path = export_histogram(cfg, "V", 4096, seed, tmp_path / "h.csv")
+    assert replay.replay_histogram(spans.Tracer(), cfg, "V", 4096, seed, Counter()) == path.read_text()
