@@ -34,8 +34,8 @@ print("\nstate |L> after the flow mapping (one row per distinct loading level):"
 # rated distribution factors of the monitored line, one per non-slack bus
 h_row = rate_scale_ptdf(build_ptdf(config.network), config.network).row(config.analysis.line)
 dists = config.ordered_injections()
-pipeline, lf_map, estimator = build_line_pipeline(h_row, dists, "mean", line=config.analysis.line)
-for value, amp in zip(lf_map.distinct_values, loading_state.amplitudes):
+pipeline, levels, estimator = build_line_pipeline(h_row, dists, "mean", line=config.analysis.line)
+for value, amp in zip(levels.distinct_values, loading_state.amplitudes):
     print(f"  loading {value:6.4f}  amplitude {amp.real:+.4f}")
 
 final = apply(pipeline.a, zero_state(pipeline.a.n_qubits))

@@ -37,9 +37,17 @@ from .flowmap import (
 from .injection import EncodedInjection, InjectionDistribution, encode
 from .simulator import _UNITARY_TOL, StateVector, _frozen_real, householder
 
-#: qubits above which :func:`build_line_map` refuses to build the dense path, whose
-#: n_columns x n_columns float64 operators take 2^(2n + 3) bytes each
+#: qubits above which :func:`build_line_map` and :func:`build_line_pipeline` refuse to
+#: build the dense path, whose n_columns x n_columns float64 operators take 2^(2n + 3) bytes each
 MAX_DENSE_QUBITS = 12
+
+
+def _dense_levels(h_row: np.ndarray, distributions: list[InjectionDistribution], line: str) -> LineLevels:
+    """:func:`~gridqmc.flowmap.line_levels`, refused over ``MAX_DENSE_QUBITS`` before enumerating."""
+    n_qubits = sum(d.n_qubits for d in distributions)
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
+    return line_levels(h_row, distributions, line=line)
 
 
 @dataclass(frozen=True)
@@ -159,10 +167,7 @@ def build_line_map(
     Raises :class:`ConfigurationError` above ``MAX_DENSE_QUBITS``, before
     any joint state is enumerated.
     """
-    n_qubits = sum(d.n_qubits for d in distributions)
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
-    levels = line_levels(h_row, distributions, line=line)
+    levels = _dense_levels(h_row, distributions, line)
     n_rows, n_cols = levels.n_rows, levels.n_columns
     m = np.zeros((n_rows, n_cols))
     m[levels.labels, np.arange(n_cols)] = 1.0
@@ -203,14 +208,14 @@ def _reflection_matrix(c: LevelCompletion) -> np.ndarray:
     return r
 
 
-def unitary_factorize(lf_map: LineFlowMap) -> UnitaryFactorization:
-    """Materialize the unitary completion C = P R of the map's levels.
+def unitary_factorize(levels: LineLevels) -> UnitaryFactorization:
+    """Materialize the unitary completion C = P R of the levels.
 
-    Takes the map from :func:`build_line_map`, whose qubit budget bounds
-    the two dense factors.
+    Takes levels that :func:`build_line_map` or :func:`build_line_pipeline`
+    has checked against the qubit budget, which bounds the two dense factors.
     """
-    completion = LevelCompletion.from_levels(lf_map)
-    n = lf_map.n_columns
+    completion = LevelCompletion.from_levels(levels)
+    n = levels.n_columns
     p = np.zeros((n, n))
     p[np.arange(n), np.concatenate([completion.first, completion.rest])] = 1.0  # completion.permute(np.eye(n))
     return UnitaryFactorization(
@@ -295,24 +300,24 @@ def build_line_pipeline(
     metric: str,
     threshold: float | None = None,
     line: str = "",
-) -> tuple[PipelineUnitary | None, LineFlowMap, EstimatorVector]:
+) -> tuple[PipelineUnitary | None, LineLevels, EstimatorVector]:
     """Run the full construction for one line and metric.
 
-    Returns ``(pipeline, flow_map, estimator)``; the pipeline is ``None``
+    Returns ``(pipeline, levels, estimator)``; the pipeline is ``None``
     when the estimator is degenerate (metric exactly zero, nothing to
-    estimate).
+    estimate).  No step reads the dense flow map, so none is built.
     """
     encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
-    lf_map = orthonormalize_rows(build_line_map(h_row, distributions, line=line))
-    estimator = build_estimator_vector(lf_map, metric, n_qubits, encodings, threshold)
+    levels = _dense_levels(h_row, distributions, line)
+    estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
-        return None, lf_map, estimator
-    factorization = unitary_factorize(lf_map)
+        return None, levels, estimator
+    factorization = unitary_factorize(levels)
     h_unitary = householder_unitary(estimator.v)
     preps = [state_prep_unitary(enc) for enc in encodings]
     pipeline = assemble_pipeline(preps, factorization, h_unitary, estimator.scaling)
-    return pipeline, lf_map, estimator
+    return pipeline, levels, estimator
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,11 @@ class GroverIterate:
         return psi
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Q x for a vector or each column of a block: negate the good amplitude, reflect about psi."""
+        """Q x for one vector of length ``dim``: negate the good amplitude, reflect about psi."""
         y = self.a_op._own(x)  # the one copy of the step, overwritten in place
         y[self.a_op.good_state_index] *= -1.0
         psi = self.start
-        y -= np.multiply.outer(psi, 2.0 * (psi @ y))
+        y -= psi * (2.0 * (psi @ y))
         return y
 
     def _power(self, k: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def _check_rotation(op: GroverIterate) -> None:
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
-    """Structured Grover iterate, probed for unitarity (reusing the build's block) and the rotation identity."""
+    """Structured Grover iterate, probed on the build's probe vectors and for the rotation identity."""
     op = GroverIterate(a_op=a)
     probe_unitary(op.step, a.dim, probes=a.__dict__.pop("_probes", None))
     _check_rotation(op)

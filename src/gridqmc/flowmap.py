@@ -188,10 +188,8 @@ def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _reflect(x: np.ndarray, w: np.ndarray, coef: float) -> np.ndarray:
-    """Rank-1 reflection ``(I - coef * w w^T) x`` in place, on a vector or on each column of a block."""
-    beta = coef * (w @ x)
-    for column, b in zip(x.reshape(len(x), -1).T, beta.reshape(-1)):
-        column -= b * w
+    """Rank-1 reflection ``(I - coef * w w^T) x`` of a vector, in place."""
+    x -= coef * (w @ x) * w
     return x
 
 
@@ -205,8 +203,7 @@ class LevelCompletion:
     them.  Row k of C is therefore row k of the orthonormalized map, because
     the levels have disjoint supports.  A level of one state reflects
     nothing, so R keeps only the levels of more than one state.  Every
-    method takes a vector of length ``dim`` or a ``(dim, m)`` block, whose
-    columns are transformed alike.
+    method takes one real vector of length ``dim``.
     """
 
     first: np.ndarray  # first joint state of every level, shared with LineLevels
@@ -240,15 +237,11 @@ class LevelCompletion:
         if not len(self.members):
             return y
         # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
-        # bincount over (level, column) pairs sums each level in index order
-        cols = y.reshape(len(y), -1)
-        m = cols.shape[1]
-        bins = (self.level[:, None] * m + np.arange(m)).ravel()
-        sums = np.bincount(bins, weights=cols[self.members].ravel(), minlength=len(self.gain) * m)
-        dots = cols[self.heads] - sums.reshape(-1, m) * self.inv_sqrt[:, None]
-        beta = self.gain[:, None] * dots
-        cols[self.members] += (beta * self.inv_sqrt[:, None])[self.level]
-        cols[self.heads] -= beta
+        # bincount sums each level's members in index order
+        sums = np.bincount(self.level, weights=y[self.members], minlength=len(self.gain))
+        beta = self.gain * (y[self.heads] - sums * self.inv_sqrt)
+        y[self.members] += (beta * self.inv_sqrt)[self.level]
+        y[self.heads] -= beta
         return y
 
     def permute(self, y: np.ndarray) -> np.ndarray:
@@ -282,9 +275,8 @@ class PipelineOperator:
     iterate calls it once, for ``prepared()`` = A|0>, and steps on that
     vector alone.  The amplitude of ``good_state_index`` in ``A|0>``
     is the metric on the amplitude scale; ``scaling`` converts it back to
-    physical units.  ``apply`` and ``apply_adjoint`` take a vector or a
-    ``(dim, m)`` block of columns and leave it unchanged; R reflects only
-    levels of more than one state.
+    physical units.  ``apply`` and ``apply_adjoint`` take one vector and
+    leave it unchanged; R reflects only levels of more than one state.
     """
 
     prep: tuple  # the factors of prep_reflections
@@ -306,7 +298,7 @@ class PipelineOperator:
         return self.dim - 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = H P R prep x for a real vector of length ``dim`` or each column of a ``(dim, m)`` block."""
+        """A x = H P R prep x for a real vector of length ``dim``."""
         y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, self._own(x))))
         return _reflect(y, self.h_vector, self.h_gain)
 
@@ -316,10 +308,10 @@ class PipelineOperator:
         return reflect_axes(self.prep, self.completion.reflect(y))
 
     def _own(self, x: np.ndarray) -> np.ndarray:
-        """``x``, checked for length, as a new C-contiguous float64 array to be overwritten in place."""
-        if len(x) != self.dim:
-            raise ConfigurationError("state length does not match the operator")
-        return np.array(x, dtype=float, order="C")
+        """``x``, checked to be one vector of length ``dim``, as a new float64 array to overwrite in place."""
+        if np.shape(x) != (self.dim,):
+            raise ConfigurationError(f"state must be one vector of length {self.dim}, not shape {np.shape(x)}")
+        return np.array(x, dtype=float)
 
     def prepared(self) -> np.ndarray:
         """A|0>."""
@@ -336,9 +328,9 @@ def build_pipeline_operator(
     """Build the pipeline operator for one line and metric; no dense matrix.
 
     Returns ``(operator, levels, estimator)``; the operator is ``None`` when
-    the estimator is degenerate.  Seeded probes check ``||A x|| = ||x||`` and
-    ``A^T A x = x`` in place of a dense unitarity residual; their block is
-    left beside the fields for :func:`~gridqmc.estimation.build_grover_iterate`.
+    the estimator is degenerate.  Seeded probe vectors, one at a time, check
+    ``||A x|| = ||x||`` and ``A^T A x = x`` in place of a dense unitarity
+    residual; they are left beside the fields for :func:`~gridqmc.estimation.build_grover_iterate`.
     """
     encodings = tuple(encode(d) for d in distributions)
     n_qubits = sum(enc.n_qubits for enc in encodings)

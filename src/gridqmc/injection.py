@@ -147,15 +147,14 @@ def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray 
 def reflect_axes(factors: Sequence[np.ndarray | _Reflection], y: np.ndarray) -> np.ndarray:
     """Apply the Kronecker product of :func:`prep_reflections` to ``y`` in place and return it.
 
-    ``y``, a C-contiguous vector or ``(dim, m)`` block of columns, is viewed
-    as one axis per factor, first factor most significant, and each factor
-    is applied along its axis by one matrix product per slice: ``f @ block``
-    with the axis in the middle of a ``(left, k, right)`` view, and on the
-    last axis of a vector ``f @ rows.T``, one GEMM per slice of rows.  No
-    temporary holds more than ``_UPDATE_ELEMENTS`` elements, or one axis of
-    a bus that has more levels.  The product is symmetric, so this is also
-    its adjoint.  The caller checks that ``len(y)`` is the product of the
-    axis lengths.
+    ``y``, a C-contiguous statevector, is viewed as one axis per factor,
+    first factor most significant, and each factor is applied along its axis
+    by one matrix product per slice: ``f @ block`` with the axis in the
+    middle of a ``(left, k, right)`` view, and on the last axis
+    ``f @ rows.T``, one GEMM per slice of rows.  No temporary holds more
+    than ``_UPDATE_ELEMENTS`` elements, or one axis of a bus that has more
+    levels.  The product is symmetric, so this is also its adjoint.  The
+    caller checks that ``len(y)`` is the product of the axis lengths.
     """
     left, right = 1, y.size
     for f in factors:

@@ -86,23 +86,24 @@ def probe_unitary(
 ) -> np.ndarray:
     """Check a matrix-free operator on seeded random unit vectors and return them.
 
-    The vectors are the columns of one ``(dim, _PROBE_COUNT)`` block, so
-    ``op`` and ``adjoint`` must map a block column by column, as they map a
-    vector.  Requires ``||U x|| = ||x||`` and, given the adjoint,
-    ``U^T U x = x`` for every column within the unitarity tolerance: two
-    operator calls in place of the O(dim^3) dense check.  ``probes``, a
-    block that an earlier probe returned, replaces the seeded draw.
+    The vectors are the rows of one ``(_PROBE_COUNT, dim)`` array, and each
+    goes through ``op`` and ``adjoint`` on its own.  Requires
+    ``||U x|| = ||x||`` and, given the adjoint, ``U^T U x = x`` for every
+    vector within the unitarity tolerance: two operator calls per vector in
+    place of the O(dim^3) dense check.  ``probes``, the array an earlier
+    probe returned, replaces the seeded draw.
     """
     if (x := probes) is None:
         rng = np.random.default_rng(_PROBE_SEED)
         x = rng.standard_normal((_PROBE_COUNT, dim))
         x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-        x = x.T  # one probe per column
-    ux = op(x)
-    residual = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->j", ux, ux)) - 1.0)))
-    if adjoint is not None:
-        back = adjoint(ux) - x
-        residual = max(residual, float(np.max(np.abs(back, out=back))))
+    residuals = []
+    for v in x:
+        uv = op(v)
+        residuals.append(abs(np.linalg.norm(uv) - 1.0))
+        if adjoint is not None:
+            residuals.append(np.abs(adjoint(uv) - v).max())
+    residual = float(np.max(residuals))  # numpy's max keeps a NaN, Python's may drop it
     if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
         raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
     return x

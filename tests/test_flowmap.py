@@ -64,6 +64,8 @@ class TestBuildLineMap:
         h, dists = synthetic_grid(8)
         with pytest.raises(ConfigurationError, match="budget"):
             build_line_map(h, dists)
+        with pytest.raises(ConfigurationError, match="budget"):
+            build_line_pipeline(h, dists, "mean")
 
 
 def group_values_loop(values, tol=1e-9):

@@ -87,7 +87,7 @@ class TestApply:
             InjectionDistribution(bus=1, values_mw=[0, 1], probabilities=[0, 1]),
             InjectionDistribution(bus=2, values_mw=[0, 1], probabilities=[0, 1]),
         ]
-        pipe, lf_map, est = build_line_pipeline([1.0, 1.0], dists, "mean")
+        pipe, _, est = build_line_pipeline([1.0, 1.0], dists, "mean")
         out = apply(pipe.a, zero_state(2))
         expected_amp = 2.0 / est.scaling  # deterministic loading over the metric scale
         assert probability_of(out, pipe.good_state_index) == pytest.approx(expected_amp**2, abs=1e-12)

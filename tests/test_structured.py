@@ -22,6 +22,7 @@ from gridqmc import (
     iqae,
     joint_state,
     load_config,
+    orthonormalize_rows,
     state_prep_unitary,
     unitary_factorize,
     zero_state,
@@ -41,7 +42,8 @@ def materialize(op, dim):
 
 
 def check_against_dense(h_row, dists, metric, threshold=None):
-    dense, lf_map, _ = build_line_pipeline(h_row, dists, metric, threshold)
+    dense, _, _ = build_line_pipeline(h_row, dists, metric, threshold)
+    lf_map = orthonormalize_rows(build_line_map(h_row, dists))
     op, levels, _ = build_pipeline_operator(h_row, dists, metric, threshold)
     assert (dense is None) == (op is None)
     if op is None:
@@ -183,32 +185,36 @@ def test_fused_prep_factors_match_the_kronecker_product(sizes, point_mass, width
 def test_fused_prep_block_through_the_operator_in_either_order():
     # six buses of 2, 4, 1, 2, 8 and 2 levels: the fused factors end on a bus boundary
     dists = forecasts([2, 4, 1, 2, 8, 2], point_mass=3)
-    op, _, _ = build_pipeline_operator(np.array([0.3, -0.25, 0.1, 0.7, -0.5, 0.2]), dists, "mean")
+    h_row = np.array([0.3, -0.25, 0.1, 0.7, -0.5, 0.2])
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    a = build_line_pipeline(h_row, dists, "mean")[0].a.entries
     block = np.random.default_rng(2).standard_normal((op.dim, 3))
-    for f in (op.apply, op.apply_adjoint):
-        by_column = np.column_stack([f(block[:, j]) for j in range(3)])
-        for x in (block, np.asfortranarray(block)):
+    for f, dense in ((op.apply, a), (op.apply_adjoint, a.T)):
+        for j in range(3):  # a strided column of the block, one vector at a time
+            x = block[:, j]
             kept = x.copy()
-            assert np.max(np.abs(f(x) - by_column)) <= 1e-13
+            assert np.max(np.abs(f(x) - dense @ kept)) <= 1e-13
             assert np.array_equal(x, kept)
 
 
 def test_reflect_axes_temporaries_stay_within_the_update_size():
     _, dists = synthetic_grid(8)  # 16 qubits, four fused 16-level factors
     factors = prep_reflections([encode(d) for d in dists])
-    block = np.random.default_rng(0).standard_normal((2**16, 3))  # 1.5 MiB
-    expected, left = block.copy(), 1
-    for f in factors:  # each factor on its whole axis at once
-        expected = np.einsum("ij,ljr->lir", f, expected.reshape(left, len(f), -1)).reshape(block.shape)
-        left *= len(f)
-    tracemalloc.start()
-    try:
-        reflect_axes(factors, block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * _UPDATE_ELEMENTS + 2**14
-    assert np.max(np.abs(block - expected)) <= 1e-13
+    # a vector takes the last factor by slices of rows, a block by the middle-axis view
+    for shape in ((2**16,), (2**16, 3)):  # 0.5 and 1.5 MiB
+        y = np.random.default_rng(0).standard_normal(shape)
+        expected, left = y.copy(), 1
+        for f in factors:  # each factor on its whole axis at once
+            expected = np.einsum("ij,ljr->lir", f, expected.reshape(left, len(f), -1)).reshape(shape)
+            left *= len(f)
+        tracemalloc.start()
+        try:
+            reflect_axes(factors, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _UPDATE_ELEMENTS + 2**14
+        assert np.max(np.abs(y - expected)) <= 1e-13
 
 
 def test_probe_rejects_a_non_unitary_operator():
@@ -279,16 +285,15 @@ def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
         assert np.array_equal(completion.apply(v), full_length_completion(levels, v))
         assert np.array_equal(completion.apply_adjoint(v), full_length_completion(levels, v, adjoint=True))
 
-    block = rng.standard_normal((levels.n_columns, 3))
     maps = [completion.apply, completion.apply_adjoint]
     threshold = float(np.median(levels.distinct_values)) if metric == "overload" else None
     op, _, _ = build_pipeline_operator(h_row, dists, metric, threshold)
     if op is not None:
         maps += [op.apply, op.apply_adjoint, build_grover_iterate(op).step]
-    for f in maps:
-        by_column = np.column_stack([f(block[:, j]) for j in range(3)])
-        assert np.max(np.abs(f(block) - by_column)) <= 1e-13
-        assert np.max(np.abs(f(np.asfortranarray(block)) - by_column)) <= 1e-13
+    kept = x.copy()
+    for f in maps:  # each leaves its input vector unchanged
+        f(x)
+        assert np.array_equal(x, kept)
 
 
 def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypatch):
@@ -306,18 +311,24 @@ def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypa
                             lambda self, x, _m=method, _c=shapes[name]: _c.append(x.shape) or _m(self, x))
     op, _, _ = build_pipeline_operator(h_row, dists, "mean")
     g = build_grover_iterate(op)
-    block, vector = (op.dim, 3), (op.dim,)
-    # the build's probe block through A and A^T, then A once on |0> for psi; the Grover
-    # probe block and the rotation check's two steps apply no factor of A
-    assert shapes["prep"] == [block, block, vector]
-    assert shapes["permute"] == [block, vector]
-    assert shapes["unpermute"] == [block]
-    assert shapes["H"] == [block, block, vector]
-    before = {name: list(calls) for name, calls in shapes.items()}
+    vector = (op.dim,)
+    # the build's three probe vectors through A and A^T, then A once on |0> for psi; the
+    # Grover probe and the rotation check's two steps apply no factor of A
+    expected = {"prep": [vector] * 7, "permute": [vector] * 4, "unpermute": [vector] * 3, "H": [vector] * 7}
+    assert shapes == expected
     g.step(np.ones(vector))
-    g.step(np.ones(block))
     g.good_probability(7)
-    assert shapes == before
+    assert shapes == expected
+
+
+def test_operator_and_step_refuse_anything_but_one_vector():
+    h_row, dists = synthetic_grid(3)
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    step = build_grover_iterate(op).step
+    for f in (op.apply, op.apply_adjoint, step):
+        for shape in ((op.dim, 3), (op.dim, 1), (op.dim - 1,)):
+            with pytest.raises(ConfigurationError, match="one vector of length 64"):
+                f(np.ones(shape))
 
 
 def test_probe_block_drawn_once_per_study_and_released(monkeypatch):
