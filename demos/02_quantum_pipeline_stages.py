@@ -10,16 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from gridqmc import (
-    apply,
-    build_line_pipeline,
     build_ptdf,
     builtin_config_path,
     export_histogram,
     load_config,
     rate_scale_ptdf,
     stage_state,
-    zero_state,
 )
+from gridqmc.flowmap import build_pipeline_operator
 
 config = load_config(builtin_config_path("three_bus"))
 
@@ -34,12 +32,11 @@ print("\nstate |L> after the flow mapping (one row per distinct loading level):"
 # rated distribution factors of the monitored line, one per non-slack bus
 h_row = rate_scale_ptdf(build_ptdf(config.network), config.network).row(config.analysis.line)
 dists = config.ordered_injections()
-pipeline, levels, estimator = build_line_pipeline(h_row, dists, "mean", line=config.analysis.line)
+op, levels, estimator = build_pipeline_operator(h_row, dists, "mean", line=config.analysis.line)
 for value, amp in zip(levels.distinct_values, loading_state.amplitudes):
     print(f"  loading {value:6.4f}  amplitude {amp.real:+.4f}")
 
-final = apply(pipeline.a, zero_state(pipeline.a.n_qubits))
-amp = final.amplitudes[pipeline.good_state_index].real
+amp = op.prepared()[op.good_state_index]  # A|0>, applied factor by factor
 print(f"\ntarget amplitude on |1111>  : {amp:.6f}")
 print(f"scaling back to loading     : {amp * estimator.scaling:.6f}")
 print("(compare the exact mean printed by demo 01)")

@@ -114,13 +114,25 @@ def required_samples(sigma_n: float, epsilon: float, alpha: float) -> int:
     return int(round(z**2 * sigma_n**2 / epsilon**2))
 
 
+#: widest bus that counts its cut points (O(k·n); at most 256, a uint8 count); wider ones binary-search.
+#: Per 16-level bus (2 vCPU): 73-132 against 250-327 µs at n = 9,000, 33 against 19 µs at 1,600
+_COUNT_LEVELS = 16
+
+
 def _draw_loading(rng: np.random.Generator, h_row: np.ndarray, distributions, n: int) -> np.ndarray:
-    """``n`` draws of |loading|: per bus, ``rng.choice(values, n, p=p)``'s inverse CDF without its checks."""
+    """``n`` draws of |loading|: per bus, the draws of ``rng.choice(values, n, p=p)``, without its checks."""
     loading = np.zeros(n)
     for h, dist in zip(h_row, distributions):
         cdf = dist.probabilities.cumsum()
         cdf /= cdf[-1]
-        loading += (h * dist.values_mw)[cdf.searchsorted(rng.random(n), side="right")]
+        u = rng.random(n)
+        if len(cdf) > _COUNT_LEVELS:
+            index = cdf.searchsorted(u, side="right")
+        else:  # the same index, the count of cut points <= u; cdf[-1] = 1 > u is never one
+            index = np.zeros(n, np.uint8)
+            for cut in cdf[:-1].tolist():
+                index += u >= cut
+        loading += (h * dist.values_mw).take(index)
     return np.abs(loading, out=loading)
 
 

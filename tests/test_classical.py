@@ -281,18 +281,22 @@ class TestClassicalMc:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_draws_equal_generator_choice(self, seed):
-        # buses of 1, 2, 4 and 32 levels, zero-probability levels among them; a one-level
-        # bus still spends its n uniforms, so every later bus sees choice's stream
+        # buses of 1 to 32 levels, zero-probability levels among them; a one-level bus still
+        # spends its n uniforms, so every later bus sees choice's stream.  The widest counted
+        # bus and the next power of two bracket the counting bound, and the first bus's cut
+        # point is the first uniform it draws
         rng = np.random.default_rng(seed)
-        dists = []
-        for bus, k in enumerate((1, 2, 4, 32, 4, 1, 2)):
+        first_u = np.random.default_rng(seed).random()
+        dists = [InjectionDistribution(0, np.array([-3.0, 5.0]), np.array([first_u, 1 - first_u]))]
+        wide = classical._COUNT_LEVELS
+        for bus, k in enumerate((1, 2, 4, wide, 2 * wide, 4, 1, 2), start=1):
             weights = rng.random(k) * (rng.random(k) < 0.7)
             weights[rng.integers(k)] += 0.1
             dists.append(InjectionDistribution(bus, np.sort(rng.choice(200, k, replace=False)) * 0.5,
                                                weights / weights.sum()))
         h_row = rng.uniform(-1, 1, len(dists))
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n in (1, 5, 1000, 1000):  # consecutive calls on one generator
+        for n in (1, 5, 1000, 1000, 20_000):  # consecutive calls on one generator
             assert np.array_equal(_draw_loading(ours, h_row, dists, n), choice_loading(ref, h_row, dists, n))
 
     @pytest.mark.parametrize("name", ["three_bus", "five_bus"])

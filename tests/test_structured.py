@@ -400,9 +400,10 @@ def test_twenty_qubit_grover_step_holds_two_state_vectors():
     assert abs(y[op.good_state_index] ** 2 - g.good_probability(1)) <= 1e-12
 
 
-#: tracemalloc peak of this test's body, in MiB, measured on the implementation
-#: that probed with one vector at a time and summed all 2^20 states per level reflection
-FULL_LENGTH_PEAK_MIB = 173.5
+#: tracemalloc peak of this test's body, in MiB: 120.7 measured with one probe vector
+#: through the operator at a time, plus 16 (two 2^20-state vectors) of margin.  Holding
+#: the three probes' images at once, as a (2^20, 3) block, peaks at 160.7 and fails
+FULL_LENGTH_PEAK_MIB = 136.7
 
 
 def test_twenty_qubit_study_within_the_full_length_peak():

@@ -2,12 +2,14 @@
 
 Writes ``ring_study(n)`` (tests/conftest.py) for n = 4, 6, 8, 10 to a temporary
 directory and runs on each, in a fresh interpreter and each time to a new
-file, ``gridqmc run`` (its methods ``iqae`` and ``exact``), ``gridqmc histogram
---stage psi|L`` and, on the rungs of at most ``dense.MAX_DENSE_QUBITS`` qubits
-(n = 4 and 6: 8 and 12 qubits), ``--stage V``. Prints one line per run:
-qubits, stage (``run`` for the report), source tree, wall time, the child's
-peak RSS (``os.wait4``) and the sha256 of the report or CSV. A report records
-its study's path, so its sha256 compares trees within one invocation only.
+file, ``gridqmc run`` (its methods ``iqae`` and ``exact``), ``gridqmc run
+--methods exact,cmc --epsilon 0.0025`` (classical Monte Carlo at about 10^5
+samples), ``gridqmc histogram --stage psi|L`` and, on the rungs of at most
+``dense.MAX_DENSE_QUBITS`` qubits (n = 4 and 6: 8 and 12 qubits), ``--stage
+V``. Prints one line per run: qubits, stage (``run`` and ``cmc`` for the two
+reports), source tree, wall time, the child's peak RSS (``os.wait4``) and the
+sha256 of the report or CSV. A report records its study's path, so its sha256
+compares trees within one invocation only.
 
     python3 tools/histogram_ladder.py
     python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3
@@ -36,12 +38,17 @@ from tests.conftest import ring_study  # noqa: E402
 
 RING_BUSES = (4, 6, 8, 10)
 STAGES = ("psi", "L", "V")
+#: the CLI arguments of each rung, by its name in the stage column
+COMMANDS = {
+    "run": ["run"],
+    "cmc": ["run", "--methods", "exact,cmc", "--epsilon", "0.0025"],
+    **{stage: ["histogram", "--stage", stage, "--shots", "1024"] for stage in STAGES},
+}
 
 
 def run_once(src: Path, study: Path, stage: str, out: Path) -> tuple[float, float, str]:
     """Wall seconds, peak RSS in MB and output sha256 of one `gridqmc run` or `gridqmc histogram` process."""
-    command = ["run"] if stage == "run" else ["histogram", "--stage", stage, "--shots", "1024"]
-    cmd = [sys.executable, "-m", "gridqmc.cli", *command, "--config", str(study), "--out", str(out)]
+    cmd = [sys.executable, "-m", "gridqmc.cli", *COMMANDS[stage], "--config", str(study), "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(src)}
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
@@ -66,7 +73,8 @@ def main(argv: list[str] | None = None) -> None:
         for n_buses in RING_BUSES:
             study = Path(tmp) / f"ring{n_buses}.json"
             study.write_text(json.dumps(ring_study(n_buses)))
-            for stage in ("run", *(STAGES if 2 * n_buses <= MAX_DENSE_QUBITS else STAGES[:2])):  # V is dense
+            stages = STAGES if 2 * n_buses <= MAX_DENSE_QUBITS else STAGES[:2]  # V is dense
+            for stage in ("run", "cmc", *stages):
                 for _ in range(args.repeat):
                     for src in args.src:
                         wall, rss, digest = run_once(src.resolve(), study, stage, Path(tmp) / "out")
