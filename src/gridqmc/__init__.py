@@ -31,4 +31,4 @@ from .flowmap import build_estimator_vector
 from .grid import Line, Network, build_ptdf, rate_scale_ptdf
 from .injection import InjectionDistribution, encode, joint_state
 from .runner import RunReport, export_histogram, run_analysis, stage_state
-from .simulator import StateVector, probability_of, sample_counts
+from .simulator import StateVector, sample_counts

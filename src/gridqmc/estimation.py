@@ -4,7 +4,9 @@ The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
 basis-state phase flips.  As S0 = I - 2|0><0|, A S0 A^T = I - 2 psi psi^T
 for psi = A|0>, so :func:`build_grover_iterate` applies the structured
 :class:`PipelineOperator` once, for psi, and a step is a sign flip of the
-good amplitude and one rank-1 reflection about psi.  Estimation maintains a
+good amplitude and one rank-1 reflection about psi.  Q is orthogonal
+exactly when ||psi|| = 1, as (I - 2 psi psi^T)^2 = I + 4(||psi||^2 - 1) psi psi^T,
+so that one residual is its unitarity check.  Estimation maintains a
 confidence interval on the rotation angle, adaptively raising the Grover
 power whenever the scaled interval still fits in one half-plane, and
 tightens it with Clopper-Pearson binomial intervals on seeded shot draws.
@@ -12,15 +14,14 @@ tightens it with Clopper-Pearson binomial intervals on seeded shot draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
 from .flowmap import PipelineOperator
-from .simulator import probe_unitary
+from .simulator import _UNITARY_TOL, own_vector
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -34,24 +35,26 @@ _MAX_QUANTILE_STEPS = 100
 IQAE_MAX_EPSILON = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GroverIterate:
-    """Amplification operator Q = (I - 2 psi psi^T) Sg for psi = A|0> of the structured pipeline operator."""
+    """Amplification operator Q = (I - 2 psi psi^T) Sg for psi = A|0>, read-only in ``start``.
 
-    a_op: PipelineOperator
+    ``good_state_index`` is the basis state Sg negates.  ``_highest`` holds
+    the highest power k computed so far and Q^k psi.
+    """
 
-    @cached_property
-    def start(self) -> np.ndarray:
-        """psi = A|0>, read-only: the one call of the pipeline operator."""
-        psi = self.a_op.prepared()
-        psi.setflags(write=False)
-        return psi
+    start: np.ndarray
+    good_state_index: int
+    _highest: tuple[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._highest = (0, self.start)
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Q x for one vector of length ``dim``: negate the good amplitude, reflect about psi."""
-        y = self.a_op._own(x)  # the one copy of the step, overwritten in place
-        y[self.a_op.good_state_index] *= -1.0
+        """Q x for one vector of the length of psi: negate the good amplitude, reflect about psi."""
         psi = self.start
+        y = own_vector(x, len(psi))  # the one copy of the step, overwritten in place
+        y[self.good_state_index] *= -1.0
         y -= psi * (2.0 * (psi @ y))
         return y
 
@@ -60,17 +63,15 @@ class GroverIterate:
 
         IQAE thus repeats no step of the rotation check or of its own earlier rounds.
         """
-        highest = self.__dict__.get("_highest", (0, self.start))
-        done, x = highest if highest[0] <= k else (0, self.start)
+        done, x = self._highest if self._highest[0] <= k else (0, self.start)
         for _ in range(k - done):
             x = self.step(x)
-        if k >= highest[0]:
-            # kept beside the fields of the frozen dataclass, as cached_property does
-            self.__dict__["_highest"] = (k, x)
+        if k >= self._highest[0]:
+            self._highest = (k, x)
         return x
 
     def good_probability(self, k: int) -> float:
-        return float(self._power(k)[self.a_op.good_state_index] ** 2)
+        return float(self._power(k)[self.good_state_index] ** 2)
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,13 @@ def _check_rotation(op: GroverIterate) -> None:
 
 
 def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
-    """Structured Grover iterate, probed on the build's probe vectors and for the rotation identity."""
-    op = GroverIterate(a_op=a)
-    probe_unitary(op.step, a.dim, probes=a.__dict__.pop("_probes", None))
+    """Grover iterate on psi = ``a.prepared()``, checked for ||psi|| = 1 and the rotation identity."""
+    psi = a.prepared()
+    psi.setflags(write=False)
+    residual = abs(float(psi @ psi) - 1.0)
+    if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
+        raise ConfigurationError(f"Grover iterate is not unitary (|psi.psi - 1| = {residual:.2e})")
+    op = GroverIterate(start=psi, good_state_index=a.good_state_index)
     _check_rotation(op)
     return op
 

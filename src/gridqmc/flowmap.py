@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .injection import EncodedInjection, InjectionDistribution, encode, prep_reflections, reflect_axes
-from .simulator import check_qubit_count, householder, probe_unitary
+from .simulator import check_qubit_count, householder, own_vector, probe_unitary
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
@@ -272,8 +272,8 @@ class PipelineOperator:
     held as the few fused factors of :func:`~gridqmc.injection.prep_reflections`
     and applied by :func:`~gridqmc.injection.reflect_axes`, P R the
     :class:`LevelCompletion` and H the rank-1 metric reflection.  The Grover
-    iterate calls it once, for ``prepared()`` = A|0>, and steps on that
-    vector alone.  The amplitude of ``good_state_index`` in ``A|0>``
+    iterate calls it once, for ``prepared()`` = A|0>, and keeps that vector,
+    not the operator.  The amplitude of ``good_state_index`` in ``A|0>``
     is the metric on the amplitude scale; ``scaling`` converts it back to
     physical units.  ``apply`` and ``apply_adjoint`` take one vector and
     leave it unchanged; R reflects only levels of more than one state.
@@ -299,19 +299,13 @@ class PipelineOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x = H P R prep x for a real vector of length ``dim``."""
-        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, self._own(x))))
+        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, own_vector(x, self.dim))))
         return _reflect(y, self.h_vector, self.h_gain)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """A^T x = prep R P^T H x; every factor but the permutation is symmetric."""
-        y = self.completion.unpermute(_reflect(self._own(x), self.h_vector, self.h_gain))
+        y = self.completion.unpermute(_reflect(own_vector(x, self.dim), self.h_vector, self.h_gain))
         return reflect_axes(self.prep, self.completion.reflect(y))
-
-    def _own(self, x: np.ndarray) -> np.ndarray:
-        """``x``, checked to be one vector of length ``dim``, as a new float64 array to overwrite in place."""
-        if np.shape(x) != (self.dim,):
-            raise ConfigurationError(f"state must be one vector of length {self.dim}, not shape {np.shape(x)}")
-        return np.array(x, dtype=float)
 
     def prepared(self) -> np.ndarray:
         """A|0>."""
@@ -330,7 +324,7 @@ def build_pipeline_operator(
     Returns ``(operator, levels, estimator)``; the operator is ``None`` when
     the estimator is degenerate.  Seeded probe vectors, one at a time, check
     ``||A x|| = ||x||`` and ``A^T A x = x`` in place of a dense unitarity
-    residual; they are left beside the fields for :func:`~gridqmc.estimation.build_grover_iterate`.
+    residual.
     """
     encodings = tuple(encode(d) for d in distributions)
     n_qubits = sum(enc.n_qubits for enc in encodings)
@@ -347,5 +341,5 @@ def build_pipeline_operator(
         h_gain=h_gain,
         scaling=estimator.scaling,
     )
-    op.__dict__["_probes"] = probe_unitary(op.apply, op.dim, op.apply_adjoint)
+    probe_unitary(op.apply, op.dim, op.apply_adjoint)
     return op, levels, estimator

@@ -78,42 +78,37 @@ def householder(u: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
     return w, 0.0 if wnorm2 < _IDENTITY_NORM2 else 2.0 / wnorm2
 
 
+def own_vector(x: np.ndarray, dim: int) -> np.ndarray:
+    """``x``, checked to be one vector of length ``dim``, as a new float64 array to overwrite in place."""
+    if np.shape(x) != (dim,):
+        raise ConfigurationError(f"state must be one vector of length {dim}, not shape {np.shape(x)}")
+    return np.array(x, dtype=float)
+
+
 def probe_unitary(
     op: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
-    probes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Check a matrix-free operator on seeded random unit vectors and return them.
+    adjoint: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Check a matrix-free operator and its adjoint on seeded random unit vectors.
 
     The vectors are the rows of one ``(_PROBE_COUNT, dim)`` array, and each
     goes through ``op`` and ``adjoint`` on its own.  Requires
-    ``||U x|| = ||x||`` and, given the adjoint, ``U^T U x = x`` for every
-    vector within the unitarity tolerance: two operator calls per vector in
-    place of the O(dim^3) dense check.  ``probes``, the array an earlier
-    probe returned, replaces the seeded draw.
+    ``||U x|| = ||x||`` and ``U^T U x = x`` for every vector within the
+    unitarity tolerance: two operator calls per vector in place of the
+    O(dim^3) dense check.
     """
-    if (x := probes) is None:
-        rng = np.random.default_rng(_PROBE_SEED)
-        x = rng.standard_normal((_PROBE_COUNT, dim))
-        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    rng = np.random.default_rng(_PROBE_SEED)
+    x = rng.standard_normal((_PROBE_COUNT, dim))
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
     residuals = []
     for v in x:
         uv = op(v)
         residuals.append(abs(np.linalg.norm(uv) - 1.0))
-        if adjoint is not None:
-            residuals.append(np.abs(adjoint(uv) - v).max())
+        residuals.append(np.abs(adjoint(uv) - v).max())
     residual = float(np.max(residuals))  # numpy's max keeps a NaN, Python's may drop it
     if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
         raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
-    return x
-
-
-def probability_of(s: StateVector, basis_index: int) -> float:
-    """Exact probability of measuring one computational basis state."""
-    if not 0 <= basis_index < s.dim:
-        raise ConfigurationError(f"basis index {basis_index} out of range")
-    return float(s.amplitudes[basis_index] ** 2)
 
 
 def sample_counts(s: StateVector, shots: int, rng_seed: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from gridqmc import (
     joint_state,
     load_config,
     orthonormalize_rows,
-    probability_of,
     required_samples,
     rescale,
     run_analysis,
@@ -103,7 +102,7 @@ def test_criterion_4_iqae_statistical_contract(configs):
     h_row, dists = _analysis_inputs(configs["three_bus"])
     pipe, _, _ = build_line_pipeline(h_row, dists, "mean")
     op, _, _ = build_pipeline_operator(h_row, dists, "mean")
-    a_true = probability_of(apply(pipe.a, zero_state(pipe.a.n_qubits)), pipe.good_state_index)
+    a_true = apply(pipe.a, zero_state(pipe.a.n_qubits)).probabilities()[pipe.good_state_index]
     ok, details = True, []
     # the dense Grover operator is the reference; the structured iterate is what run_analysis runs
     for path, grover in (("dense", build_grover(pipe)), ("structured", build_grover_iterate(op))):
@@ -134,13 +133,13 @@ def test_criterion_6_dominant_state_histogram(configs):
     state = joint_state([encode(d) for d in dists])
     targets = {0b0101: 0.246, 0b0110: 0.235, 0b1001: 0.235, 0b1010: 0.224}
     exact_ok = all(
-        abs(probability_of(state, idx) - p) < 5e-3 for idx, p in targets.items()
+        abs(state.probabilities()[idx] - p) < 5e-3 for idx, p in targets.items()
     )
     counts = sample_counts(state, shots=1024, rng_seed=42)
     fracs = {idx: counts[idx] / 1024 for idx in targets}
     sampled_ok = all(0.19 <= f <= 0.28 for f in fracs.values())
     detail = "exact {0101,0110,1001,1010} = " + ", ".join(
-        f"{probability_of(state, idx):.4f}" for idx in targets
+        f"{state.probabilities()[idx]:.4f}" for idx in targets
     ) + "; 1024-shot fractions " + ", ".join(f"{f:.3f}" for f in fracs.values())
     report(6, exact_ok and sampled_ok, detail)
 
@@ -183,9 +182,7 @@ def test_criterion_8_structural_invariants(configs):
             float(np.max(np.abs(h_unitary.entries @ h_unitary.entries - np.eye(h_unitary.dim)))),
         )
         grover = build_grover(pipe)
-        a_true = probability_of(
-            apply(pipe.a, zero_state(pipe.a.n_qubits)), pipe.good_state_index
-        )
+        a_true = apply(pipe.a, zero_state(pipe.a.n_qubits)).probabilities()[pipe.good_state_index]
         theta = math.asin(math.sqrt(a_true))
         state = apply(pipe.a, zero_state(pipe.a.n_qubits))
         for k in range(6):
@@ -193,7 +190,7 @@ def test_criterion_8_structural_invariants(configs):
                 state = apply(grover.q, state)
             expected = math.sin((2 * k + 1) * theta) ** 2
             phase_err = max(
-                phase_err, abs(probability_of(state, grover.good_state_index) - expected)
+                phase_err, abs(state.probabilities()[grover.good_state_index] - expected)
             )
     ok = (
         unitary_err < 1e-10 and gram_err < 1e-12

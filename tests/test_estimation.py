@@ -11,7 +11,6 @@ from gridqmc import (
     build_grover,
     build_line_pipeline,
     iqae,
-    probability_of,
     rescale,
     zero_state,
 )
@@ -33,7 +32,7 @@ def three_bus_grover():
     cfg = load_config(builtin_config_path("three_bus"))
     h_row, dists = _analysis_inputs(cfg)
     pipe, _, est = build_line_pipeline(h_row, dists, "mean", line=cfg.analysis.line)
-    a_true = probability_of(apply(pipe.a, zero_state(4)), pipe.good_state_index)
+    a_true = apply(pipe.a, zero_state(4)).probabilities()[pipe.good_state_index]
     return build_grover(pipe), a_true
 
 
@@ -64,7 +63,7 @@ class TestGrover:
             if k > 0:
                 state = apply(g.q, state)
             expected = math.sin((2 * k + 1) * theta) ** 2
-            assert probability_of(state, g.good_state_index) == pytest.approx(expected, abs=1e-8)
+            assert state.probabilities()[g.good_state_index] == pytest.approx(expected, abs=1e-8)
 
     def test_q_is_unitary(self, three_bus_grover):
         g, _ = three_bus_grover

@@ -9,7 +9,6 @@ from gridqmc import (
     build_line_pipeline,
     encode,
     joint_state,
-    probability_of,
     sample_counts,
     zero_state,
 )
@@ -90,7 +89,7 @@ class TestApply:
         pipe, _, est = build_line_pipeline([1.0, 1.0], dists, "mean")
         out = apply(pipe.a, zero_state(2))
         expected_amp = 2.0 / est.scaling  # deterministic loading over the metric scale
-        assert probability_of(out, pipe.good_state_index) == pytest.approx(expected_amp**2, abs=1e-12)
+        assert out.probabilities()[pipe.good_state_index] == pytest.approx(expected_amp**2, abs=1e-12)
 
     def test_norm_preserved_on_random_pipelines(self):
         rng = np.random.default_rng(17)
@@ -103,20 +102,16 @@ class TestApply:
 
 class TestProbabilityOf:
     def test_zero_state(self):
-        assert probability_of(zero_state(3), 0) == 1.0
+        assert zero_state(3).probabilities()[0] == 1.0
 
     def test_uniform_two_qubits(self):
         s = StateVector(2, np.full(4, 0.5))
         for i in range(4):
-            assert probability_of(s, i) == pytest.approx(0.25)
+            assert s.probabilities()[i] == pytest.approx(0.25)
 
     def test_joint_forecast_state(self):
         state = joint_state([encode(forecast(1)), encode(forecast(2))])
-        assert probability_of(state, 0b0101) == pytest.approx(0.2462, abs=2e-4)
-
-    def test_index_range(self):
-        with pytest.raises(ConfigurationError):
-            probability_of(zero_state(1), 2)
+        assert state.probabilities()[0b0101] == pytest.approx(0.2462, abs=2e-4)
 
 
 class TestSampleCounts:

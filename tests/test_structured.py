@@ -2,7 +2,6 @@
 import dataclasses
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from gridqmc import (
 )
 from gridqmc import estimation, flowmap, simulator
 from gridqmc.estimation import GroverIterate, build_grover_iterate
-from gridqmc.flowmap import LevelCompletion, build_pipeline_operator, line_levels
+from gridqmc.flowmap import LevelCompletion, PipelineOperator, build_pipeline_operator, line_levels
 from gridqmc.injection import _UPDATE_ELEMENTS, prep_reflections, reflect_axes
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import probe_unitary
@@ -219,7 +218,7 @@ def test_reflect_axes_temporaries_stay_within_the_update_size():
 
 def test_probe_rejects_a_non_unitary_operator():
     with pytest.raises(ConfigurationError, match="not unitary"):
-        probe_unitary(lambda x: 1.001 * x, 8)
+        probe_unitary(lambda x: 1.001 * x, 8, adjoint=lambda x: x / 1.001)
     with pytest.raises(ConfigurationError, match="not unitary"):
         # norm-preserving, but the claimed adjoint is not its inverse
         probe_unitary(lambda x: x[::-1], 8, adjoint=lambda x: x)
@@ -313,7 +312,7 @@ def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypa
     g = build_grover_iterate(op)
     vector = (op.dim,)
     # the build's three probe vectors through A and A^T, then A once on |0> for psi; the
-    # Grover probe and the rotation check's two steps apply no factor of A
+    # Grover set-up's norm check of psi and its rotation check's two steps apply no factor of A
     expected = {"prep": [vector] * 7, "permute": [vector] * 4, "unpermute": [vector] * 3, "H": [vector] * 7}
     assert shapes == expected
     g.step(np.ones(vector))
@@ -331,19 +330,32 @@ def test_operator_and_step_refuse_anything_but_one_vector():
                 f(np.ones(shape))
 
 
-def test_probe_block_drawn_once_per_study_and_released(monkeypatch):
+def test_probes_drawn_once_in_the_build_and_grover_set_up_reads_psi_alone(monkeypatch):
     h_row, dists = synthetic_grid(4)
-    seeds, handed = [], []
-    default_rng, probe = np.random.default_rng, estimation.probe_unitary
+    seeds, calls = [], []
+    default_rng, prepared = np.random.default_rng, PipelineOperator.prepared
     monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or default_rng(*a))
-    monkeypatch.setattr(estimation, "probe_unitary",
-                        lambda *a, **k: handed.append(weakref.ref(k["probes"])) or probe(*a, **k))
+    monkeypatch.setattr(PipelineOperator, "prepared", lambda self: calls.append(1) or prepared(self))
     op, _, _ = build_pipeline_operator(h_row, dists, "mean")
-    build_grover_iterate(op)
-    # the build draws the block, the Grover probe takes it from the operator, and nothing keeps it
-    assert seeds.count((simulator._PROBE_SEED,)) == 1
-    assert len(handed) == 1 and handed[0]() is None
-    assert "_probes" not in vars(op)
+    assert seeds == [(simulator._PROBE_SEED,)] and not calls
+    g = build_grover_iterate(op)
+    # the Grover set-up draws nothing and calls the operator once, for psi
+    assert seeds == [(simulator._PROBE_SEED,)] and len(calls) == 1
+    assert vars(op).keys() == {f.name for f in dataclasses.fields(op)}
+    assert not any(isinstance(v, PipelineOperator) for v in vars(g).values())
+    assert not g.start.flags.writeable
+
+
+@pytest.mark.parametrize("spoil", [lambda psi: psi * (1 + 1e-10), lambda psi: np.concatenate(([np.nan], psi[1:]))],
+                         ids=["scaled", "nan"])
+def test_grover_set_up_refuses_a_psi_off_the_unit_sphere(spoil, monkeypatch):
+    h_row, dists = synthetic_grid(3)
+    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    prepared = PipelineOperator.prepared
+    monkeypatch.setattr(PipelineOperator, "prepared", lambda self: spoil(prepared(self)))
+    # |psi.psi - 1| = 2e-10 passes a probe of Q and the rotation check; Q is not orthogonal
+    with pytest.raises(ConfigurationError, match="not unitary"):
+        build_grover_iterate(op)
 
 
 @pytest.mark.parametrize("n_buses", [3, 4, 5])
@@ -400,10 +412,11 @@ def test_twenty_qubit_grover_step_holds_two_state_vectors():
     assert abs(y[op.good_state_index] ** 2 - g.good_probability(1)) <= 1e-12
 
 
-#: tracemalloc peak of this test's body, in MiB: 120.7 measured with one probe vector
-#: through the operator at a time, plus 16 (two 2^20-state vectors) of margin.  Holding
-#: the three probes' images at once, as a (2^20, 3) block, peaks at 160.7 and fails
-FULL_LENGTH_PEAK_MIB = 136.7
+#: tracemalloc peak of this test's body, in MiB: 112.7 measured with one probe vector
+#: through the operator at a time and no probe of the Grover iterate, plus 16 (two
+#: 2^20-state vectors) of margin.  Holding the three probes' images at once, as a
+#: (2^20, 3) block, peaks at 136.7 and fails
+FULL_LENGTH_PEAK_MIB = 128.7
 
 
 def test_twenty_qubit_study_within_the_full_length_peak():
