@@ -17,7 +17,7 @@ from gridqmc import (
     rate_scale_ptdf,
     stage_state,
 )
-from gridqmc.flowmap import build_pipeline_operator
+from gridqmc.flowmap import prepared_state
 
 config = load_config(builtin_config_path("three_bus"))
 
@@ -32,11 +32,11 @@ print("\nstate |L> after the flow mapping (one row per distinct loading level):"
 # rated distribution factors of the monitored line, one per non-slack bus
 h_row = rate_scale_ptdf(build_ptdf(config.network), config.network).row(config.analysis.line)
 dists = config.ordered_injections()
-op, levels, estimator = build_pipeline_operator(h_row, dists, "mean", line=config.analysis.line)
+psi_v, levels, estimator = prepared_state(h_row, dists, "mean", line=config.analysis.line)
 for value, amp in zip(levels.distinct_values, loading_state.amplitudes):
     print(f"  loading {value:6.4f}  amplitude {amp.real:+.4f}")
 
-amp = op.prepared()[op.good_state_index]  # A|0>, applied factor by factor
+amp = psi_v[-1]  # A|0> = H P R |psi>: the joint state through the level and metric reflections
 print(f"\ntarget amplitude on |1111>  : {amp:.6f}")
 print(f"scaling back to loading     : {amp * estimator.scaling:.6f}")
 print("(compare the exact mean printed by demo 01)")

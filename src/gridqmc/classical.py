@@ -103,15 +103,28 @@ def _critical_value(alpha: float) -> float:
     return NormalDist().inv_cdf(1 - alpha / 2)
 
 
+#: largest Monte Carlo budget :func:`required_samples` grants: 2^24 draws, about 0.4 GiB of
+#: float64 draw arrays (a bus's uniforms, the running loading and the samples)
+MAX_CMC_SAMPLES = 2**24
+
+
 def required_samples(sigma_n: float, epsilon: float, alpha: float) -> int:
     """Monte Carlo sample count for a target margin of error.
 
-    Rounds the real value to the nearest integer.
+    Rounds the real value to the nearest integer.  A budget that is not
+    finite, or over ``MAX_CMC_SAMPLES``, is refused before any draw; so is
+    an epsilon whose square underflows to zero.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be > 0")
     z = _critical_value(alpha)
-    return int(round(z**2 * sigma_n**2 / epsilon**2))
+    budget = z**2 * sigma_n**2 / epsilon**2 if epsilon**2 > 0 else math.inf
+    if not budget <= MAX_CMC_SAMPLES:  # a NaN budget is refused too
+        raise ConfigurationError(
+            f"Monte Carlo budget of {budget:.4g} samples at epsilon {epsilon:g} is over the "
+            f"limit of {MAX_CMC_SAMPLES} (2^24) samples"
+        )
+    return int(round(budget))
 
 
 #: widest bus that counts its cut points (O(k·n); at most 256, a uint8 count); wider ones binary-search.

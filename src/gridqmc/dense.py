@@ -1,9 +1,10 @@
 """Dense builders: the pipeline and Grover operators as checked matrices, the small-n oracle.
 
-Every factor of the structured :class:`~gridqmc.flowmap.PipelineOperator` is
-materialized here as a checked matrix: the per-bus state preps, the 0/1 flow
-map and its completion C = P R, the metric reflection, their product A and
-the Grover operator Q = A S0 A^T Sg.  The unitarity check is exact by
+Every factor of the pipeline operator A, whose image of |0> is
+:func:`~gridqmc.flowmap.prepared_state`, is materialized here as a checked
+matrix: the per-bus state preps, the 0/1 flow map and its completion
+C = P R, the metric reflection, their product A and the Grover operator
+Q = A S0 A^T Sg.  The unitarity check is exact by
 structure for a 0/1 permutation matrix (P, and R when no level is
 reflected): an O(d^2) test finds it, and P^T P = I needs no gram.  The
 metric reflection, a reflected R, A and Q keep their O(d^3) gram at the
@@ -15,7 +16,7 @@ and A's gram.  A matrix that a builder here makes is checked in place, not
 copied, and each d x d temporary is freed before the next product.  Each
 2^n x 2^n operator takes 2^(2n + 3) bytes, so the builders stop at
 ``MAX_DENSE_QUBITS``.  They serve histogram stage V and check the
-structured operator in the tests.
+structured path in the tests.
 """
 from __future__ import annotations
 

@@ -2,9 +2,9 @@
 
 The Grover iterate Q = A S0 A^T Sg combines the pipeline operator with two
 basis-state phase flips.  As S0 = I - 2|0><0|, A S0 A^T = I - 2 psi psi^T
-for psi = A|0>, so :func:`build_grover_iterate` applies the structured
-:class:`PipelineOperator` once, for psi, and a step is a sign flip of the
-good amplitude and one rank-1 reflection about psi.  Q is orthogonal
+for psi = A|0>, so :func:`build_grover_iterate` needs psi alone, as
+:func:`~gridqmc.flowmap.prepared_state` forms it, and a step is a sign flip
+of the good amplitude and one rank-1 reflection about psi.  Q is orthogonal
 exactly when ||psi|| = 1, as (I - 2 psi psi^T)^2 = I + 4(||psi||^2 - 1) psi psi^T,
 so that one residual is its unitarity check.  Estimation maintains a
 confidence interval on the rotation angle, adaptively raising the Grover
@@ -20,8 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
-from .flowmap import PipelineOperator
-from .simulator import _UNITARY_TOL, own_vector
+from .simulator import _UNITARY_TOL, _frozen_real, own_vector
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -117,14 +116,21 @@ def _check_rotation(op: GroverIterate) -> None:
             )
 
 
-def build_grover_iterate(a: PipelineOperator) -> GroverIterate:
-    """Grover iterate on psi = ``a.prepared()``, checked for ||psi|| = 1 and the rotation identity."""
-    psi = a.prepared()
-    psi.setflags(write=False)
+def build_grover_iterate(psi: np.ndarray) -> GroverIterate:
+    """Grover iterate on psi = A|0>, checked for ||psi|| = 1 and the rotation identity.
+
+    The good state is the last basis state.  The iterate keeps psi read-only:
+    a writable or non-float64 ``psi`` is copied first.
+    """
+    psi = np.asarray(psi)
+    if psi.ndim != 1:
+        raise ConfigurationError(f"psi must be one vector, not shape {psi.shape}")
+    if psi.flags.writeable or psi.dtype != float:
+        psi = _frozen_real(psi)
     residual = abs(float(psi @ psi) - 1.0)
     if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
         raise ConfigurationError(f"Grover iterate is not unitary (|psi.psi - 1| = {residual:.2e})")
-    op = GroverIterate(start=psi, good_state_index=a.good_state_index)
+    op = GroverIterate(start=psi, good_state_index=len(psi) - 1)
     _check_rotation(op)
     return op
 

@@ -7,11 +7,10 @@ values labels every joint state with its loading level; the labels define a
 state.  A Householder reflection then folds the chosen risk metric into the
 amplitude of the all-ones basis state.
 
-:func:`build_pipeline_operator` keeps the operator in factored form and
-applies it to a statevector in O(2^n * sum 2^k) time: per-bus state-prep
-reflections, one reflection per loading level plus a permutation for the
-unitary completion of the map (:class:`LevelCompletion`), and the rank-1
-metric reflection.
+:func:`prepared_state` forms only psi = A|0>, in O(2^n) time and memory:
+the per-bus state preps take |0> to the joint state of the encodings, one
+reflection per loading level plus a permutation complete the map
+(:class:`LevelCompletion`), and the rank-1 metric reflection follows.
 """
 from __future__ import annotations
 
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .injection import EncodedInjection, InjectionDistribution, encode, prep_reflections, reflect_axes
-from .simulator import check_qubit_count, householder, own_vector, probe_unitary
+from .injection import EncodedInjection, InjectionDistribution, encode, joint_state
+from .simulator import check_qubit_count, householder
 
 #: absolute tolerance for grouping equal loading values
 VALUE_GROUP_TOL = 1e-9
@@ -233,7 +232,7 @@ class LevelCompletion:
         )
 
     def reflect(self, y: np.ndarray) -> np.ndarray:
-        """R y, in place; R is symmetric, so this is also its adjoint."""
+        """R y, in place."""
         if not len(self.members):
             return y
         # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
@@ -251,95 +250,35 @@ class LevelCompletion:
         y.take(self.rest, axis=0, out=out[r:], mode="clip")
         return out
 
-    def unpermute(self, x: np.ndarray) -> np.ndarray:
-        """P^T x into a new array."""
-        y, r = np.empty(np.shape(x)), len(self.first)
-        y[self.first], y[self.rest] = x[:r], x[r:]
-        return y
-
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """C x = P R x into a new array; ``x`` is left unchanged."""
         return self.permute(self.reflect(np.array(x, dtype=float)))
 
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        return self.reflect(self.unpermute(x))
 
-
-@dataclass(frozen=True)
-class PipelineOperator:
-    """The pipeline operator A = H P R prep, kept as factors and applied as calls.
-
-    ``prep`` is the Kronecker product of the per-bus state-prep reflections,
-    held as the few fused factors of :func:`~gridqmc.injection.prep_reflections`
-    and applied by :func:`~gridqmc.injection.reflect_axes`, P R the
-    :class:`LevelCompletion` and H the rank-1 metric reflection.  The Grover
-    iterate calls it once, for ``prepared()`` = A|0>, and keeps that vector,
-    not the operator.  The amplitude of ``good_state_index`` in ``A|0>``
-    is the metric on the amplitude scale; ``scaling`` converts it back to
-    physical units.  ``apply`` and ``apply_adjoint`` take one vector and
-    leave it unchanged; R reflects only levels of more than one state.
-    """
-
-    prep: tuple  # the factors of prep_reflections
-    completion: LevelCompletion
-    h_vector: np.ndarray
-    h_gain: float
-    scaling: float
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-    @property
-    def dim(self) -> int:
-        return len(self.h_vector)
-
-    @property
-    def good_state_index(self) -> int:
-        return self.dim - 1
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = H P R prep x for a real vector of length ``dim``."""
-        y = self.completion.permute(self.completion.reflect(reflect_axes(self.prep, own_vector(x, self.dim))))
-        return _reflect(y, self.h_vector, self.h_gain)
-
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """A^T x = prep R P^T H x; every factor but the permutation is symmetric."""
-        y = self.completion.unpermute(_reflect(own_vector(x, self.dim), self.h_vector, self.h_gain))
-        return reflect_axes(self.prep, self.completion.reflect(y))
-
-    def prepared(self) -> np.ndarray:
-        """A|0>."""
-        return self.apply(np.eye(1, self.dim)[0])
-
-
-def build_pipeline_operator(
+def prepared_state(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
     metric: str,
     threshold: float | None = None,
     line: str = "",
-) -> tuple[PipelineOperator | None, LineLevels, EstimatorVector]:
-    """Build the pipeline operator for one line and metric; no dense matrix.
+) -> tuple[np.ndarray | None, LineLevels, EstimatorVector]:
+    """psi = A|0> for one line and metric, A = H P R prep; no operator is formed.
 
-    Returns ``(operator, levels, estimator)``; the operator is ``None`` when
-    the estimator is degenerate.  Seeded probe vectors, one at a time, check
-    ``||A x|| = ||x||`` and ``A^T A x = x`` in place of a dense unitarity
-    residual.
+    Each bus's state prep takes ``e_0`` to its encoded amplitudes, so
+    ``prep|0>`` is the joint state of the encodings, and psi = H P R
+    ``joint_state``.  Returns ``(psi, levels, estimator)`` with psi a
+    read-only float64 vector, or ``None`` when the estimator is degenerate.
+    The amplitude of the last basis state in psi is the metric on the
+    amplitude scale; ``estimator.scaling`` converts it to physical units.
     """
-    encodings = tuple(encode(d) for d in distributions)
+    encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
     check_qubit_count(n_qubits)
     levels = line_levels(h_row, distributions, line=line)
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator
-    h_vector, h_gain = _metric_reflection(estimator.v)
-    op = PipelineOperator(
-        prep=prep_reflections(encodings),
-        completion=LevelCompletion.from_levels(levels),
-        h_vector=h_vector,
-        h_gain=h_gain,
-        scaling=estimator.scaling,
-    )
-    probe_unitary(op.apply, op.dim, op.apply_adjoint)
-    return op, levels, estimator
+    psi = LevelCompletion.from_levels(levels).apply(joint_state(encodings).amplitudes)
+    _reflect(psi, *_metric_reflection(estimator.v))
+    psi.setflags(write=False)
+    return psi, levels, estimator

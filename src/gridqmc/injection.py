@@ -7,21 +7,14 @@ the forecast probabilities up to the recorded norm factor.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .simulator import StateVector, householder
+from .simulator import StateVector
 
 _PROB_SUM_TOL = 1e-9
-#: :func:`reflect_axes` updates an axis in slices whose temporary holds at most
-#: this many elements
-_UPDATE_ELEMENTS = 2**16
-#: :func:`prep_reflections` fuses adjacent buses into one dense factor while the
-#: fused axis has at most this many levels; 64 was slower at 20 qubits
-_FUSED_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,11 @@ def encode(dist: InjectionDistribution) -> EncodedInjection:
 
 
 def joint_state(encodings: list[EncodedInjection]) -> StateVector:
-    """Kronecker product of the per-bus encodings, first register most significant."""
+    """Kronecker product of the per-bus encodings, first register most significant.
+
+    Each bus's state prep takes ``e_0`` to its amplitudes, so this is also
+    the state prep applied to ``|0>``.
+    """
     if not encodings:
         raise ConfigurationError("need at least one encoding")
     amps = encodings[0].amplitudes
@@ -100,78 +97,3 @@ def joint_state(encodings: list[EncodedInjection]) -> StateVector:
         amps = np.multiply.outer(amps, enc.amplitudes).ravel()
     n = sum(enc.n_qubits for enc in encodings)
     return StateVector(n, amps)
-
-
-@dataclass(frozen=True)
-class _Reflection:
-    """Reflection ``I - gw w^T`` of a bus of more than ``_FUSED_LEVELS`` levels, not formed as a matrix.
-
-    Its dense form would take k^2 floats, 8 TiB for one bus of 2^20 levels.
-    ``f @ x`` applies it along the first of the last two axes of ``x``, as
-    for a dense factor.
-    """
-
-    w: np.ndarray
-    gw: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return x - self.gw[:, None] * (self.w @ x)[..., None, :]
-
-
-def prep_reflections(encodings: Sequence[EncodedInjection]) -> tuple[np.ndarray | _Reflection, ...]:
-    """The state prep as a few factors: the Kronecker product of every bus's reflection of ``e_0`` onto its amplitudes.
-
-    Adjacent buses share one dense factor, the Kronecker product of their
-    reflections, while the fused axis has at most ``_FUSED_LEVELS`` levels:
-    buses of 4, 4, 4, 4 and 2 levels give factors of 16, 16 and 2.  A bus of
-    more levels is a factor of its own, kept as its rank-1 reflection.  Each
-    factor is exactly symmetric, and so is their product.
-    """
-    factors, fused = [], np.eye(1)
-    for enc in encodings:
-        w, gain = householder(enc.amplitudes, 0)
-        if len(fused) * len(w) > _FUSED_LEVELS:
-            factors.append(fused)
-            fused = np.eye(1)
-        if len(w) > _FUSED_LEVELS:
-            factors.append(_Reflection(w, gain * w))
-        else:
-            r = np.eye(len(w)) - gain * np.outer(w, w)  # joined by broadcasting, bit for bit np.kron(fused, r)
-            fused = (fused[:, None, :, None] * r[None, :, None, :]).reshape(len(fused) * len(r), -1)
-    return tuple(f for f in [*factors, fused] if len(f) > 1)
-
-
-def reflect_axes(factors: Sequence[np.ndarray | _Reflection], y: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker product of :func:`prep_reflections` to ``y`` in place and return it.
-
-    ``y``, a C-contiguous statevector, is viewed as one axis per factor,
-    first factor most significant, and each factor is applied along its axis
-    by one matrix product per slice: ``f @ block`` with the axis in the
-    middle of a ``(left, k, right)`` view, and on the last axis
-    ``f @ rows.T``, one GEMM per slice of rows.  No temporary holds more
-    than ``_UPDATE_ELEMENTS`` elements, or one axis of a bus that has more
-    levels.  The product is symmetric, so this is also its adjoint.  The
-    caller checks that ``len(y)`` is the product of the axis lengths.
-    """
-    left, right = 1, y.size
-    for f in factors:
-        k = len(f)
-        right //= k
-        if right == 1:
-            rows = y.reshape(left, k)
-            step = max(1, _UPDATE_ELEMENTS // k)
-            for i in range(0, left, step):
-                rows[i : i + step] = (f @ rows[i : i + step].T).T
-        else:
-            block = y.reshape(left, k, right)
-            width = min(right, max(1, _UPDATE_ELEMENTS // k))
-            step = max(1, _UPDATE_ELEMENTS // (k * width))
-            for i in range(0, left, step):
-                for j in range(0, right, width):
-                    sub = block[i : i + step, :, j : j + width]
-                    sub[...] = f @ sub
-        left *= k
-    return y

@@ -13,7 +13,7 @@ from .config import PipelineConfig
 from .errors import ConfigurationError
 from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
-from .flowmap import LevelCompletion, build_pipeline_operator, line_levels
+from .flowmap import LevelCompletion, line_levels, prepared_state
 from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, sample_counts
@@ -77,7 +77,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
     exact_value = None
     if "exact" in an.methods or "cmc" in an.methods:
         # one enumeration serves exact and cmc (cmc draws from its own generator), and
-        # it is released before the quantum path builds its operator
+        # it is released before the quantum path forms psi
         exact = exact_line_distribution(h_row, distributions)
         if "exact" in an.methods:
             exact_value = exact.metric(an.metric, threshold)
@@ -90,14 +90,12 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         del exact
 
     if "iqae" in an.methods:
-        pipeline, _, estimator = build_pipeline_operator(
-            h_row, distributions, an.metric, threshold, line=an.line
-        )
-        if pipeline is None:
+        psi, _, estimator = prepared_state(h_row, distributions, an.metric, threshold, line=an.line)
+        if psi is None:
             # nothing to estimate; the metric is exactly zero
             results["iqae"] = EstimationResult.point("iqae", 0.0, an.epsilon, an.alpha, an.seed)
         else:
-            grover = build_grover_iterate(pipeline)
+            grover = build_grover_iterate(psi)
             raw = iqae(grover, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
             results["iqae"] = rescale(raw, estimator.scaling)
 
@@ -130,9 +128,10 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
     and forms no matrix.  Stage V is ``A|0>`` from the oracle in
     :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its amplitudes
-    equal those of the structured operator to rounding.  A study over
-    ``MAX_QUBITS`` is refused by :func:`~gridqmc.simulator.check_qubit_count`
-    before any joint state is enumerated.
+    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  A
+    study over ``MAX_QUBITS`` is refused by
+    :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
+    enumerated.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")

@@ -1,14 +1,12 @@
 """Minimal statevector simulator.
 
-Supports exactly what the pipeline needs: Householder reflections, checking
-matrix-free operators, reading exact basis-state probabilities and drawing
-seeded measurement shots.  Every operator the pipeline builds is real
-orthogonal, so amplitudes are float64.  Everything is immutable; no gates,
-no noise, no hardware backends.
+Supports exactly what the pipeline needs: Householder reflections, reading
+exact basis-state probabilities and drawing seeded measurement shots.  Every
+operator the pipeline builds is real orthogonal, so amplitudes are float64.
+Everything is immutable; no gates, no noise, no hardware backends.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +17,6 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-10
-_PROBE_COUNT = 3
-_PROBE_SEED = 20231003
 #: a reflection vector with a smaller squared norm stands for the identity
 _IDENTITY_NORM2 = 1e-24
 
@@ -83,32 +79,6 @@ def own_vector(x: np.ndarray, dim: int) -> np.ndarray:
     if np.shape(x) != (dim,):
         raise ConfigurationError(f"state must be one vector of length {dim}, not shape {np.shape(x)}")
     return np.array(x, dtype=float)
-
-
-def probe_unitary(
-    op: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    adjoint: Callable[[np.ndarray], np.ndarray],
-) -> None:
-    """Check a matrix-free operator and its adjoint on seeded random unit vectors.
-
-    The vectors are the rows of one ``(_PROBE_COUNT, dim)`` array, and each
-    goes through ``op`` and ``adjoint`` on its own.  Requires
-    ``||U x|| = ||x||`` and ``U^T U x = x`` for every vector within the
-    unitarity tolerance: two operator calls per vector in place of the
-    O(dim^3) dense check.
-    """
-    rng = np.random.default_rng(_PROBE_SEED)
-    x = rng.standard_normal((_PROBE_COUNT, dim))
-    x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    residuals = []
-    for v in x:
-        uv = op(v)
-        residuals.append(abs(np.linalg.norm(uv) - 1.0))
-        residuals.append(np.abs(adjoint(uv) - v).max())
-    residual = float(np.max(residuals))  # numpy's max keeps a NaN, Python's may drop it
-    if not residual <= _UNITARY_TOL:  # a NaN residual is refused too
-        raise ConfigurationError(f"operator is not unitary (probe residual {residual:.2e})")
 
 
 def sample_counts(s: StateVector, shots: int, rng_seed: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from gridqmc import (
     zero_state,
 )
 from gridqmc.estimation import EstimationResult, build_grover_iterate, iqae
-from gridqmc.flowmap import build_pipeline_operator
+from gridqmc.flowmap import prepared_state
 from gridqmc.runner import _analysis_inputs
 from tests.conftest import random_distribution
 
@@ -62,7 +62,7 @@ def test_criterion_1_sample_count_formula():
 
 
 def test_criterion_2_quantum_classical_equivalence():
-    # the dense pipeline is the reference; the structured operator is what run_analysis runs
+    # the dense pipeline is the reference; the structured psi is what run_analysis runs
     worst = {"dense": 0.0, "structured": 0.0}
     for h_row, dists in random_instances(200):
         ex = exact_line_distribution(h_row, dists)
@@ -70,13 +70,13 @@ def test_criterion_2_quantum_classical_equivalence():
         for metric, want in (("mean", ex.mean), ("overload", ex.overload_probability(threshold))):
             args = (h_row, dists, metric, threshold if metric == "overload" else None)
             pipe, _, est = build_line_pipeline(*args)
-            op, _, op_est = build_pipeline_operator(*args)
-            assert (pipe is None) == (op is None)
+            psi, _, psi_est = prepared_state(*args)
+            assert (pipe is None) == (psi is None)
             got = {"dense": 0.0, "structured": 0.0}
             if pipe is not None:
                 amp = apply(pipe.a, zero_state(pipe.a.n_qubits))
                 got["dense"] = amp.amplitudes[pipe.good_state_index].real * est.scaling
-                got["structured"] = op.prepared()[op.good_state_index] * op_est.scaling
+                got["structured"] = psi[-1] * psi_est.scaling
             for path in worst:
                 worst[path] = max(worst[path], abs(got[path] - want))
     detail = ", ".join(f"{path} {dev:.3e}" for path, dev in worst.items())
@@ -101,11 +101,11 @@ def test_criterion_3_loading_state_fidelity():
 def test_criterion_4_iqae_statistical_contract(configs):
     h_row, dists = _analysis_inputs(configs["three_bus"])
     pipe, _, _ = build_line_pipeline(h_row, dists, "mean")
-    op, _, _ = build_pipeline_operator(h_row, dists, "mean")
+    psi, _, _ = prepared_state(h_row, dists, "mean")
     a_true = apply(pipe.a, zero_state(pipe.a.n_qubits)).probabilities()[pipe.good_state_index]
     ok, details = True, []
     # the dense Grover operator is the reference; the structured iterate is what run_analysis runs
-    for path, grover in (("dense", build_grover(pipe)), ("structured", build_grover_iterate(op))):
+    for path, grover in (("dense", build_grover(pipe)), ("structured", build_grover_iterate(psi))):
         hits = 0
         max_width = 0.0
         for seed in range(200):

@@ -16,8 +16,8 @@ from gridqmc import (
     required_samples,
 )
 from gridqmc import classical
-from gridqmc.classical import _critical_value, _draw_loading
-from gridqmc.errors import EnumerationBoundError
+from gridqmc.classical import MAX_CMC_SAMPLES, _critical_value, _draw_loading
+from gridqmc.errors import ConfigurationError, EnumerationBoundError
 from gridqmc.runner import _analysis_inputs
 from tests.conftest import FORECAST_PROBS, random_distribution, synthetic_grid
 
@@ -202,6 +202,15 @@ class TestRequiredSamples:
 
     def test_zero_sigma(self):
         assert required_samples(0.0, 0.01, 0.05) == 0
+
+    def test_budget_over_the_limit_refused(self):
+        assert MAX_CMC_SAMPLES == 2**24
+        # the largest sigma the limit grants at epsilon 0.01 passes, a little more does not
+        sigma = 0.01 * math.sqrt(MAX_CMC_SAMPLES) / 1.96
+        assert required_samples(sigma * (1 - 1e-9), 0.01, 0.05) == MAX_CMC_SAMPLES
+        for sigma_n, epsilon in ((sigma * 1.0001, 0.01), (0.5, 1e-200), (math.inf, 0.01), (math.nan, 0.01)):
+            with pytest.raises(ConfigurationError, match=r"Monte Carlo budget of .* over the limit of 16777216"):
+                required_samples(sigma_n, epsilon, 0.05)
 
     def test_critical_value_is_normal_quantile(self):
         from scipy import stats

@@ -26,7 +26,7 @@ from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.errors import EnumerationBoundError
-from gridqmc.flowmap import build_pipeline_operator, line_levels
+from gridqmc.flowmap import line_levels, prepared_state
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
 from gridqmc.simulator import StateVector, sample_counts
 from tests.conftest import nine_qubit_ring, ring_study
@@ -516,6 +516,16 @@ class TestCli:
         assert code == 2
         assert f"analysis.{flag[2:]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon, budget", [("1e-7", "8.454e+13"), ("1e-200", "inf")])
+    def test_run_refuses_an_oversized_cmc_budget(self, epsilon, budget, capsys):
+        # 1e-7 once asked numpy for 615 TiB of draws; 1e-200 squared underflows to zero
+        code = main(["run", "--config", str(builtin_config_path("three_bus")),
+                     "--methods", "cmc", "--epsilon", epsilon])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"Monte Carlo budget of {budget} samples" in err
+        assert "over the limit of 16777216 (2^24) samples" in err
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
         ("seed", -1), ("epsilon", 0.3), ("epsilon", 0.25),
@@ -782,7 +792,7 @@ class TestCli:
         h_row, dists = _analysis_inputs(config)
         message = "24 qubits (16777216 joint states), at most 20 supported"
         refusals = [
-            lambda: build_pipeline_operator(h_row, dists, "mean"),
+            lambda: prepared_state(h_row, dists, "mean"),
             lambda: exact_line_distribution(h_row, dists),
             lambda: stage_state(config, "psi"),
         ]
