@@ -203,7 +203,7 @@ def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
         assert np.array_equal(x, kept)
 
 
-def test_psi_is_formed_once_and_no_grover_step_applies_a_factor(monkeypatch):
+def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypatch):
     h_row, dists = synthetic_grid(4)
     # every factor of psi = H P R prep|0> goes through these
     shapes = {"prep": [], "reflect": [], "permute": [], "H": []}
@@ -216,8 +216,6 @@ def test_psi_is_formed_once_and_no_grover_step_applies_a_factor(monkeypatch):
         method = getattr(LevelCompletion, name)
         monkeypatch.setattr(LevelCompletion, name,
                             lambda self, x, _m=method, _c=shapes[name]: _c.append(x.shape) or _m(self, x))
-    seeds, default_rng = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or default_rng(*a))
     psi, _, _ = prepared_state(h_row, dists, "mean")
     g = build_grover_iterate(psi)
     vector = (len(psi),)
@@ -227,8 +225,17 @@ def test_psi_is_formed_once_and_no_grover_step_applies_a_factor(monkeypatch):
     g.step(np.ones(vector))
     g.good_probability(7)
     assert shapes == expected
-    # nothing random is drawn, and the iterate keeps psi itself, read-only
+
+
+def test_probes_drawn_once_in_the_build_and_grover_set_up_reads_psi_alone(monkeypatch):
+    h_row, dists = synthetic_grid(4)
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or default_rng(*a))
+    psi, _, _ = prepared_state(h_row, dists, "mean")
+    g = build_grover_iterate(psi)
+    # no probe is drawn, in forming psi or in the Grover set-up
     assert not seeds
+    # the iterate keeps psi itself, read-only, and nothing else of the study
     assert g.start is psi and not psi.flags.writeable
     assert vars(g).keys() == {"start", "good_state_index", "_highest"}
 
