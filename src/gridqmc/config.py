@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .estimation import IQAE_MAX_EPSILON
+from .estimation import IQAE_MAX_EPSILON, MAX_SHOTS_PER_ROUND
 from .grid import Line, Network
 from .injection import InjectionDistribution
 
@@ -40,8 +40,8 @@ class AnalysisSettings:
             raise ConfigurationError("analysis.alpha: must lie in (0, 1)")
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError("analysis.epsilon: must be positive and finite")
-        if not self.shots_per_round >= 1:
-            raise ConfigurationError("analysis.shots_per_round: must be at least 1")
+        if not 1 <= self.shots_per_round <= MAX_SHOTS_PER_ROUND:
+            raise ConfigurationError(f"analysis.shots_per_round: must lie in [1, {MAX_SHOTS_PER_ROUND}]")
         if not self.seed >= 0:
             raise ConfigurationError("analysis.seed: must be non-negative")
         for i, m in enumerate(self.methods):

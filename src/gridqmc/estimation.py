@@ -13,6 +13,7 @@ tightens it with Clopper-Pearson binomial intervals on seeded shot draws.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
@@ -29,6 +30,15 @@ _TAIL_SUM_EPS = 1e-17
 #: the quantile solve stops once a step moves the logit by at most this
 _LOGIT_STEP_TOL = 1e-9
 _MAX_QUANTILE_STEPS = 100
+#: Clopper-Pearson intervals kept per process.  An interval depends on (ones, shots, alpha)
+#: alone: 1,284 distinct nine-qubit studies at epsilon = 0.01 and alpha = 0.05 asked for
+#: 3,913 intervals, of which 178 were distinct.
+CLOPPER_PEARSON_CACHE_SIZE = 1024
+
+#: :func:`iqae` accepts at most this many shots per round.  At epsilon = 0.01 it runs at most
+#: 60 rounds, so it pools at most 60,000 shots, and one interval on those takes about 0.2 s
+#: (k = n / 2, the slowest count; ``math.comb`` costs about n^2).
+MAX_SHOTS_PER_ROUND = 1000
 
 #: :func:`iqae` accepts half-widths epsilon in (0, IQAE_MAX_EPSILON)
 IQAE_MAX_EPSILON = 0.25
@@ -202,12 +212,14 @@ def _expit(s: float) -> float:
     return e / (1.0 + e)
 
 
+@functools.lru_cache(maxsize=CLOPPER_PEARSON_CACHE_SIZE)
 def _clopper_pearson(one_counts: int, shots: int, alpha: float) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval.
+    """Exact two-sided binomial confidence interval, memoized per process.
 
     The endpoints are the beta quantiles I^-1_{alpha/2}(k, n - k + 1) and
     I^-1_{1-alpha/2}(k + 1, n - k); the upper one is found as one minus the
-    lower endpoint of the complementary count n - k.
+    lower endpoint of the complementary count n - k.  ``__wrapped__`` is the
+    uncached solve.
     """
     k, n = one_counts, shots
     lo = 0.0 if k == 0 else _expit(_upper_tail_logit(k, n, alpha / 2))
@@ -254,8 +266,8 @@ def iqae(
         raise ConfigurationError(f"epsilon must lie in (0, {IQAE_MAX_EPSILON})")
     if not 0 < alpha < 1:
         raise ConfigurationError("alpha must lie in (0, 1)")
-    if shots_per_round < 1:
-        raise ConfigurationError("shots_per_round must be >= 1")
+    if not 1 <= shots_per_round <= MAX_SHOTS_PER_ROUND:
+        raise ConfigurationError(f"shots_per_round must lie in [1, {MAX_SHOTS_PER_ROUND}]")
 
     rng = np.random.default_rng(rng_seed)
     n_rounds_nominal = max(1, math.ceil(math.log2(math.pi / (8 * epsilon))))

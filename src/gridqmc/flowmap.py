@@ -14,6 +14,7 @@ reflection per loading level plus a permutation complete the map
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -173,14 +174,14 @@ def build_estimator_vector(
     v = np.zeros(dim)
     v[: levels.n_rows] = np.where(levels.mass > 0, weight, 0.0)
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
-    scaling = float(np.linalg.norm(v)) * prod_norms
+    scaling = math.sqrt(float(v @ v)) * prod_norms
     return EstimatorVector(v=v, scaling=scaling, level_metric=level_metric)
 
 
 def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:
     """``(w, gain)`` of the :func:`householder` taking the last axis to ``v / ||v||``."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(float(v @ v))
     if norm == 0:
         raise ConfigurationError("householder vector must be non-zero")
     return householder(v / norm, -1)

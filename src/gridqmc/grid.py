@@ -176,5 +176,9 @@ def rate_scale_ptdf(ptdf: PtdfMatrix, network: Network) -> PtdfMatrix:
     """Divide each row by the line rating so outputs are loading fractions."""
     if ptdf.rated:
         raise ConfigurationError("ptdf is already rated")
-    ratings = np.array([network.lines[network.line_index(lbl)].rating_mw for lbl in ptdf.line_order])
+    rating = {line.label: line.rating_mw for line in network.lines}
+    try:
+        ratings = np.array([rating[lbl] for lbl in ptdf.line_order])
+    except KeyError as exc:
+        raise ConfigurationError(f"unknown line {exc.args[0]!r}") from None
     return replace(ptdf, h=ptdf.h / ratings[:, None], rated=True)

@@ -7,6 +7,7 @@ the forecast probabilities up to the recorded norm factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ class EncodedInjection:
 
 def encode(dist: InjectionDistribution) -> EncodedInjection:
     """Normalize a forecast's probability vector into quantum amplitudes."""
-    norm = float(np.linalg.norm(dist.probabilities))
+    norm = math.sqrt(float(dist.probabilities @ dist.probabilities))
     if norm == 0.0:
         raise ConfigurationError(f"bus {dist.bus}: all-zero probability vector")
     return EncodedInjection(amplitudes=dist.probabilities / norm, norm_factor=norm)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, line_levels, prepared_state
 from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
-from .simulator import StateVector, check_qubit_count, sample_counts
+from .simulator import StateVector, check_qubit_count, check_shots, sample_counts
 
 STAGES = ("psi", "L", "V")
 #: CSV rows formatted by one bytes ``%``: the writer holds one block of row objects, not 2^n
@@ -52,10 +52,10 @@ class RunReport:
 
 def _config_echo(config: PipelineConfig) -> dict:
     """The analysis settings, but the seed, which the report holds at its top level."""
-    echo = asdict(config.analysis)
-    del echo["seed"]
+    an = config.analysis
+    echo = {f.name: getattr(an, f.name) for f in fields(an) if f.name != "seed"}
     net = config.network
-    echo.update(methods=list(echo["methods"]), source=config.source, slack_bus=net.slack_bus,
+    echo.update(methods=list(an.methods), source=config.source, slack_bus=net.slack_bus,
                 n_buses=len(net.bus_ids), n_lines=len(net.lines))
     return echo
 
@@ -164,8 +164,7 @@ def export_histogram(
     ``path`` is opened before any work and emptied only once the stage is sampled. A refused stage
     leaves it as it was; a failed write removes it if this call created it and empties it otherwise.
     """
-    if shots < 1:  # refused before ``path`` is opened
-        raise ConfigurationError("shots must be >= 1")
+    check_shots(shots)  # refused before ``path`` is opened
     out = Path(path)
     try:  # "xb" tells whether this call creates the file; "ab" needs no read access
         f, created = out.open("xb", buffering=0), True

@@ -7,6 +7,7 @@ Everything is immutable; no gates, no noise, no hardware backends.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,9 @@ import numpy as np
 from .errors import ConfigurationError, EnumerationBoundError
 
 MAX_QUBITS = 20
+
+#: the most shots :func:`sample_counts` draws: numpy counts them in int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-10
@@ -27,6 +31,14 @@ def check_qubit_count(n_qubits: int) -> None:
         raise EnumerationBoundError(
             f"{n_qubits} qubits ({2**n_qubits} joint states), at most {MAX_QUBITS} supported"
         )
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a shot count below 1 or over ``MAX_SHOTS``."""
+    if shots < 1:
+        raise ConfigurationError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise ConfigurationError(f"shots must be at most {MAX_SHOTS} (2^63 - 1)")
 
 
 def _frozen_real(values) -> np.ndarray:
@@ -51,7 +63,7 @@ class StateVector:
         check_qubit_count(self.n_qubits)
         if amps.shape != (2**self.n_qubits,):
             raise ConfigurationError("amplitude vector length must be 2**n_qubits")
-        if abs(np.linalg.norm(amps) - 1.0) > _NORM_TOL:
+        if abs(math.sqrt(float(amps @ amps)) - 1.0) > _NORM_TOL:
             raise ConfigurationError("statevector is not normalized")
 
     @property
@@ -87,8 +99,7 @@ def sample_counts(s: StateVector, shots: int, rng_seed: int) -> np.ndarray:
     Deterministic for a fixed seed; returns a length-2**n integer array of
     counts, including zero rows.
     """
-    if shots < 1:
-        raise ConfigurationError("shots must be >= 1")
+    check_shots(shots)
     probs = s.probabilities()
     probs = probs / probs.sum()  # strip the 1e-9 norm slack
     rng = np.random.default_rng(rng_seed)

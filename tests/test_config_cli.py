@@ -26,6 +26,7 @@ from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.errors import EnumerationBoundError
+from gridqmc.estimation import MAX_SHOTS_PER_ROUND
 from gridqmc.flowmap import line_levels, prepared_state
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
 from gridqmc.simulator import StateVector, sample_counts
@@ -90,6 +91,15 @@ class TestLoadConfig:
     def test_nonexistent_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("shots", [2**40, 10**20])
+    def test_shots_per_round_over_the_cap_refused(self, shots):
+        raw = json.loads(builtin_config_path("three_bus").read_text())
+        raw["analysis"]["shots_per_round"] = MAX_SHOTS_PER_ROUND
+        assert parse_config(raw).analysis.shots_per_round == MAX_SHOTS_PER_ROUND
+        raw["analysis"]["shots_per_round"] = shots
+        with pytest.raises(ConfigurationError, match=r"analysis.shots_per_round: must lie in \[1, 1000\]"):
+            parse_config(raw)
 
     def test_file_that_is_not_text_refused(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -526,6 +536,16 @@ class TestCli:
         assert f"Monte Carlo budget of {budget} samples" in err
         assert "over the limit of 16777216 (2^24) samples" in err
 
+    @pytest.mark.parametrize("shots", [2**40, 10**20])
+    def test_run_refuses_shots_per_round_over_the_cap(self, shots, tmp_path, capsys, monkeypatch):
+        # 2^40 once ran for minutes in the interval solve; 10^20 overflowed numpy's binomial draw
+        calls, out = [], tmp_path / "r.json"
+        monkeypatch.setattr(runner, "iqae", lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(shots_per_round=shots))
+        assert main(["run", "--config", str(path), "--methods", "iqae", "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err == "error: analysis.shots_per_round: must lie in [1, 1000]\n"
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
         ("seed", -1), ("epsilon", 0.3), ("epsilon", 0.25),
@@ -704,16 +724,25 @@ class TestCli:
         assert opened.count(out) == 1 and existed == [True]
         assert out.read_text().startswith("bitstring,count,exact_probability\n")
 
-    @pytest.mark.parametrize("shots", [0, -5])
+    # 10^20 once ended in an OverflowError traceback from numpy's multinomial draw
+    @pytest.mark.parametrize("shots", [0, -5, 2**63, 10**20])
     def test_histogram_refuses_shots_before_the_stage(self, shots, tmp_path, capsys, monkeypatch):
         calls, out = [], tmp_path / "h.csv"
         monkeypatch.setattr(runner, "stage_state", lambda *a: calls.append(a) or stage_state(*a))
-        out.write_text("kept\n")
+        out.write_bytes(b"kept\r\n\x00")
         code = main(["histogram", "--config", str(builtin_config_path("three_bus")), "--stage", "V",
                      "--shots", str(shots), "--out", str(out)])
         assert code == 2 and calls == []
-        assert capsys.readouterr().err == "error: shots must be >= 1\n"
-        assert out.read_text() == "kept\n"
+        message = "shots must be >= 1" if shots < 1 else "shots must be at most 9223372036854775807 (2^63 - 1)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out.read_bytes() == b"kept\r\n\x00"
+
+    @pytest.mark.parametrize("shots", [0, 10**20])
+    def test_histogram_refusing_shots_creates_no_out(self, shots, tmp_path):
+        out = tmp_path / "h.csv"
+        code = main(["histogram", "--config", str(builtin_config_path("three_bus")), "--stage", "psi",
+                     "--shots", str(shots), "--out", str(out)])
+        assert code == 2 and not out.exists()
 
     @pytest.mark.parametrize("command", [["validate"], ["run"], ["histogram", "--stage", "psi"]],
                              ids=["validate", "run", "histogram"])

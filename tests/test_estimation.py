@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,18 @@ from gridqmc import (
     rescale,
     zero_state,
 )
-from gridqmc.estimation import EstimationResult, _check_rotation, _clopper_pearson, _find_next_k
+from gridqmc import estimation
+from gridqmc.errors import EstimationFailureError
+from gridqmc.estimation import (
+    CLOPPER_PEARSON_CACHE_SIZE,
+    MAX_SHOTS_PER_ROUND,
+    EstimationResult,
+    _check_rotation,
+    _clopper_pearson,
+    _find_next_k,
+    build_grover_iterate,
+)
+from gridqmc.flowmap import prepared_state
 from gridqmc.runner import _analysis_inputs
 
 
@@ -92,7 +104,7 @@ class TestClopperPearson:
                 for alpha in (0.5, 0.1, 0.05, 0.01, 0.05 / 7, 1e-4):
                     lo = 0.0 if ones == 0 else stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
                     hi = 1.0 if ones == shots else stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
-                    got = _clopper_pearson(ones, shots, alpha)
+                    got = _clopper_pearson.__wrapped__(ones, shots, alpha)
                     assert got == pytest.approx((lo, hi), rel=1e-10, abs=0.0), (ones, shots, alpha)
 
     def test_endpoints_solve_binomial_tails(self):
@@ -103,13 +115,52 @@ class TestClopperPearson:
         for shots in range(1, 61):
             for ones in range(shots + 1):
                 for alpha in (0.1, 0.05, 0.01, 1e-4):
-                    lo, hi = _clopper_pearson(ones, shots, alpha)
+                    lo, hi = _clopper_pearson.__wrapped__(ones, shots, alpha)
                     if ones > 0:
                         upper = math.fsum(pmf(j, shots, lo) for j in range(ones, shots + 1))
                         assert abs(upper - alpha / 2) <= 1e-12, (ones, shots, alpha)
                     if ones < shots:
                         lower = math.fsum(pmf(j, shots, hi) for j in range(ones + 1))
                         assert abs(lower - alpha / 2) <= 1e-12, (ones, shots, alpha)
+
+
+class TestClopperPearsonCache:
+    def test_cached_endpoints_equal_the_uncached_solve(self):
+        for shots in (1, 2, 100, 300, 500):
+            for ones in range(shots + 1):
+                for alpha in (0.05 / 6, 0.01):
+                    want = [x.hex() for x in _clopper_pearson.__wrapped__(ones, shots, alpha)]
+                    assert [x.hex() for x in _clopper_pearson(ones, shots, alpha)] == want
+                    assert [x.hex() for x in _clopper_pearson(ones, shots, alpha)] == want
+
+    def test_cache_size_is_the_module_constant(self):
+        assert _clopper_pearson.cache_info().maxsize == CLOPPER_PEARSON_CACHE_SIZE
+
+    def test_failed_solve_raises_and_is_not_cached(self, monkeypatch):
+        key = (3, 777, 0.0123)
+        _clopper_pearson.cache_clear()
+        monkeypatch.setattr(estimation, "_MAX_QUANTILE_STEPS", 0)
+        with pytest.raises(EstimationFailureError, match="did not converge"):
+            _clopper_pearson(*key)
+        monkeypatch.undo()
+        assert _clopper_pearson(*key) == _clopper_pearson.__wrapped__(*key)
+
+    @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
+    def test_iqae_same_from_a_cleared_and_a_warm_cache(self, name):
+        from gridqmc import builtin_config_path, load_config
+
+        cfg = load_config(builtin_config_path(name))
+        an = cfg.analysis
+        h_row, dists = _analysis_inputs(cfg)
+        threshold = an.threshold_fraction if an.metric == "overload" else None
+        psi, _, _ = prepared_state(h_row, dists, an.metric, threshold, line=an.line)
+        g = build_grover_iterate(psi)
+        _clopper_pearson.cache_clear()
+        cold = iqae(g, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
+        solved = _clopper_pearson.cache_info()
+        warm = iqae(g, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)
+        assert _clopper_pearson.cache_info().misses == solved.misses > 0  # the warm run solved nothing
+        assert repr(asdict(warm)) == repr(asdict(cold))  # every field, floats to the last bit
 
 
 class TestFindNextK:
@@ -169,6 +220,8 @@ class TestIqae:
             iqae(g, epsilon=0.01, alpha=1.5)
         with pytest.raises(ConfigurationError):
             iqae(g, epsilon=0.01, alpha=0.05, shots_per_round=0)
+        with pytest.raises(ConfigurationError, match=r"shots_per_round must lie in \[1, 1000\]"):
+            iqae(g, epsilon=0.01, alpha=0.05, shots_per_round=MAX_SHOTS_PER_ROUND + 1)
 
 
 class TestRescale:

@@ -13,6 +13,7 @@ from gridqmc import (
     zero_state,
 )
 from gridqmc.injection import InjectionDistribution
+from gridqmc.simulator import MAX_SHOTS
 from tests.conftest import FORECAST_PROBS, random_distribution
 
 
@@ -136,6 +137,12 @@ class TestSampleCounts:
         a = sample_counts(state, shots=512, rng_seed=77)
         b = sample_counts(state, shots=512, rng_seed=77)
         assert np.array_equal(a, b)
+
+    def test_largest_int64_shot_count_drawn_and_one_more_refused(self):
+        state = joint_state([encode(forecast(1)), encode(forecast(2))])
+        assert sample_counts(state, shots=MAX_SHOTS, rng_seed=3).sum() == 2**63 - 1
+        with pytest.raises(ConfigurationError, match=r"shots must be at most 9223372036854775807"):
+            sample_counts(state, shots=MAX_SHOTS + 1, rng_seed=3)
 
     def test_frequencies_converge(self):
         state = joint_state([encode(forecast(1)), encode(forecast(2))])

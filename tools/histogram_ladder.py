@@ -2,14 +2,15 @@
 
 Writes ``ring_study(n)`` (tests/conftest.py) for n = 4, 6, 8, 10 to a temporary
 directory and runs on each, in a fresh interpreter and each time to a new
-file, ``gridqmc run`` (its methods ``iqae`` and ``exact``), ``gridqmc run
---methods exact,cmc --epsilon 0.0025`` (classical Monte Carlo at about 10^5
-samples), ``gridqmc histogram --stage psi|L`` and, on the rungs of at most
-``dense.MAX_DENSE_QUBITS`` qubits (n = 4 and 6: 8 and 12 qubits), ``--stage
-V``. Prints one line per run: qubits, stage (``run`` and ``cmc`` for the two
-reports), source tree, wall time, the child's peak RSS (``os.wait4``) and the
-sha256 of the report or CSV. A report records its study's path, so its sha256
-compares trees within one invocation only.
+file, ``gridqmc run`` (its methods ``iqae`` and ``exact``), the same on a copy
+of the study whose metric is ``overload`` at ``threshold_pct`` 40, ``gridqmc
+run --methods exact,cmc --epsilon 0.0025`` (classical Monte Carlo at about
+10^5 samples), ``gridqmc histogram --stage psi|L`` and, on the rungs of at
+most ``dense.MAX_DENSE_QUBITS`` qubits (n = 4 and 6: 8 and 12 qubits),
+``--stage V``. Prints one line per run: qubits, stage (``run``, ``overload``
+and ``cmc`` for the three reports), source tree, wall time, the child's peak
+RSS (``os.wait4``) and the sha256 of the report or CSV. A report records its
+study's path, so its sha256 compares trees within one invocation only.
 
     python3 tools/histogram_ladder.py
     python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3
@@ -38,9 +39,12 @@ from tests.conftest import ring_study  # noqa: E402
 
 RING_BUSES = (4, 6, 8, 10)
 STAGES = ("psi", "L", "V")
+#: the ``overload`` rung's threshold, in percent of the line rating
+OVERLOAD_PCT = 40
 #: the CLI arguments of each rung, by its name in the stage column
 COMMANDS = {
     "run": ["run"],
+    "overload": ["run"],
     "cmc": ["run", "--methods", "exact,cmc", "--epsilon", "0.0025"],
     **{stage: ["histogram", "--stage", stage, "--shots", "1024"] for stage in STAGES},
 }
@@ -71,13 +75,18 @@ def main(argv: list[str] | None = None) -> None:
     print("qubits stage src wall_s peak_rss_mb sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for n_buses in RING_BUSES:
+            raw = ring_study(n_buses)
             study = Path(tmp) / f"ring{n_buses}.json"
-            study.write_text(json.dumps(ring_study(n_buses)))
+            study.write_text(json.dumps(raw))
+            raw["analysis"].update(metric="overload", threshold_pct=OVERLOAD_PCT)
+            overload = Path(tmp) / f"ring{n_buses}_overload.json"
+            overload.write_text(json.dumps(raw))
             stages = STAGES if 2 * n_buses <= MAX_DENSE_QUBITS else STAGES[:2]  # V is dense
-            for stage in ("run", "cmc", *stages):
+            for stage in ("run", "overload", "cmc", *stages):
+                path = overload if stage == "overload" else study
                 for _ in range(args.repeat):
                     for src in args.src:
-                        wall, rss, digest = run_once(src.resolve(), study, stage, Path(tmp) / "out")
+                        wall, rss, digest = run_once(src.resolve(), path, stage, Path(tmp) / "out")
                         print(f"{2 * n_buses} {stage} {src} {wall:.3f} {rss:.1f} {digest[:16]}",
                               flush=True)
 
