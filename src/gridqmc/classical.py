@@ -1,12 +1,16 @@
 """Classical baselines: exact enumeration and seeded Monte Carlo.
 
-The enumeration oracle visits every joint injection bin and is kept
-independent of the quantum flow-map construction, so the two paths can
-be checked against each other.
+The enumeration oracle sums over every joint injection bin, each a pair of
+a state of the first half of the buses and one of the second half
+(Horowitz & Sahni's meet-in-the-middle split, J. ACM 21:277, 1974).  It
+is kept independent of the quantum flow-map construction, so the two
+paths can be checked against each other.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
@@ -24,25 +28,58 @@ _VALUE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Exact distribution of the absolute line loading.
+    """Exact distribution of the absolute line loading, held as two halves of the buses.
 
-    ``loading`` and ``mass`` are |loading| and probability per joint state, in
-    mixed-radix order with the first bus most significant.  Loadings, mean and
-    ``std`` are fractions of the line rating, the unit in which the
-    sample-count formula and epsilon are stated.  A joint state is overloaded
-    when its own |loading| >= threshold - 1e-9; a rule on the sorted levels
-    could differ only where a chain of distinct loadings less than 1e-9 apart
-    straddles threshold - 1e-9.  ``std``, and the sorted levels ``values`` and
-    ``probabilities`` (zero-mass states dropped), are computed on first access.
+    Every joint state is a pair of a state of the first buses, the head, and
+    a state of the remaining buses, the tail; its signed loading is the sum
+    of the two halves' partial loadings and its probability their product.
+    ``head_loading``/``head_mass`` and ``tail_loading``/``tail_mass`` are the
+    halves' signed partial loadings and probabilities, in mixed-radix order
+    with the first bus most significant, and ``tail_columns`` holds each tail
+    bus's scaled values and probabilities.  Loadings, ``mean`` and ``std``
+    are fractions of the line rating, the unit in which the sample-count
+    formula and epsilon are stated.
+
+    ``mean`` and ``std`` are direct sums over the joint states, from one
+    |head + tail| matrix of 2^n entries; ``overload_probability`` counts in
+    the sorted tail and forms nothing of length 2^n.  A joint state (a, b)
+    is overloaded when |a + b| >= t' = threshold - 1e-9, with a + b exact:
+    b >= t' - a or b <= -t' - a, each bound rounded outward.  A rule on the
+    sorted levels could differ where a chain of distinct loadings less than
+    1e-9 apart straddles t'.  ``loading`` and ``mass``, |loading| and
+    probability per joint state in the same order, and the sorted levels
+    ``values`` and ``probabilities`` (zero-mass states dropped) are formed
+    on first access; no report reads them.
     """
 
-    loading: np.ndarray
-    mass: np.ndarray
-    mean: float
+    head_loading: np.ndarray
+    head_mass: np.ndarray
+    tail_loading: np.ndarray
+    tail_mass: np.ndarray
+    tail_columns: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @cached_property
-    def std(self) -> float:
-        return math.sqrt(float(((self.loading - self.mean) ** 2) @ self.mass))
+    def _states(self) -> tuple[np.ndarray, np.ndarray]:
+        # the head's fold continued over the tail: the one left fold of every bus
+        loading, mass = _fold(self.tail_columns, self.head_loading, self.head_mass)
+        return np.abs(loading), mass
+
+    loading = property(lambda self: self._states[0])
+    mass = property(lambda self: self._states[1])
+
+    @cached_property
+    def _moments(self) -> tuple[float, float]:
+        """Mean and std of |loading|, summed over the joint states in one |head + tail| matrix."""
+        pa, pb = self.head_mass, self.tail_mass
+        m = np.add.outer(self.head_loading, self.tail_loading)
+        np.abs(m, out=m)
+        mean = float(pa @ (m @ pb))
+        m -= mean
+        np.square(m, out=m)
+        return mean, math.sqrt(float(pa @ (m @ pb)))
+
+    mean = property(lambda self: self._moments[0])
+    std = property(lambda self: self._moments[1])
 
     @cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -59,8 +96,27 @@ class ExactDistribution:
     values = property(lambda self: self._levels[0])
     probabilities = property(lambda self: self._levels[1])
 
+    @cached_property
+    def _sorted_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted tail loadings b, ``below[i]`` the mass of b[:i] and ``above[i]`` that of b[i:]."""
+        order = np.argsort(self.tail_loading)
+        mass = self.tail_mass[order]
+        below = np.concatenate(([0.0], mass.cumsum()))
+        above = np.concatenate((mass[::-1].cumsum()[::-1], [0.0]))
+        return self.tail_loading[order], below, above
+
     def overload_probability(self, threshold: float) -> float:
-        return float(self.mass[self.loading >= threshold - THRESHOLD_TOL].sum())
+        if not math.isfinite(threshold):  # the bounds below would be NaN
+            raise ConfigurationError("overload threshold must be finite")
+        cut = threshold - THRESHOLD_TOL
+        b, below, above = self._sorted_tail
+        if cut <= 0:  # every state counts
+            return float(self.head_mass.sum() * above[0])
+        a = self.head_loading
+        bounds = _ceil_sum(cut, np.concatenate((-a, a)))  # least floats at or above cut - a, cut + a
+        high = b.searchsorted(bounds[: len(a)])  # first tail state with a + b >= cut
+        low = b.searchsorted(-bounds[len(a) :], side="right")  # tail states with a + b <= -cut
+        return float(self.head_mass @ (above[high] + below[low]))
 
     def metric(self, metric: str, threshold: float | None = None) -> float:
         if metric == "mean":
@@ -72,28 +128,45 @@ class ExactDistribution:
         raise ConfigurationError(f"unknown metric {metric!r}")
 
 
+def _ceil_sum(p: float, q: np.ndarray) -> np.ndarray:
+    """The least float at or above the exact sum p + q, by the error term of Knuth's TwoSum."""
+    s = p + q
+    bp = s - p
+    err = (p - (s - bp)) + (q - bp)
+    return np.where(err > 0, np.nextafter(s, np.inf), s)
+
+
+def _fold(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]], loading: np.ndarray, mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed loading and mass of the joint states, ``loading`` and ``mass`` extended by each column.
+
+    A column is one bus's scaled values and probabilities; mixed radix, the
+    new bus least significant.  One outer product per bus: a half holds at
+    most 2^10 states, where the call count, not the inner loop, sets the cost.
+    """
+    for values, probs in columns:
+        loading = np.add.outer(loading, values).ravel()
+        mass = np.multiply.outer(mass, probs).ravel()
+    return loading, mass
+
+
 def exact_line_distribution(
     h_row: np.ndarray, distributions: list[InjectionDistribution]
 ) -> ExactDistribution:
-    """Enumerate every joint bin: |loading| and mass per joint state, unsorted."""
+    """Enumerate the joint bins as two halves of the buses, cut where the head holds nearest n/2 qubits."""
     h_row = np.asarray(h_row, dtype=float)
     if len(h_row) != len(distributions):
         raise ConfigurationError("h_row length must match the number of distributions")
     n_qubits = sum(dist.n_qubits for dist in distributions)
     check_qubit_count(n_qubits)
 
-    # mixed radix over the joint states, first bus most significant; one ufunc
-    # call per column, as an outer product's k-wide inner loop runs k at a time
-    loading, mass = np.zeros(1), np.ones(1)
-    for h, dist in zip(h_row, distributions):
-        next_loading = np.empty((len(loading), len(dist.values_mw)))
-        next_mass = np.empty_like(next_loading)
-        for j, (value, prob) in enumerate(zip(h * dist.values_mw, dist.probabilities)):
-            np.add(loading, value, out=next_loading[:, j])
-            np.multiply(mass, prob, out=next_mass[:, j])
-        loading, mass = next_loading.ravel(), next_mass.ravel()
-    np.abs(loading, out=loading)
-    return ExactDistribution(loading=loading, mass=mass, mean=float(loading @ mass))
+    columns = [(h * dist.values_mw, dist.probabilities) for h, dist in zip(h_row, distributions)]
+    head_qubits = list(itertools.accumulate((dist.n_qubits for dist in distributions), initial=0))
+    cut = min(range(len(head_qubits)), key=lambda k: abs(2 * head_qubits[k] - n_qubits))  # first on a tie
+    start = (np.zeros(1), np.ones(1))
+    head, tail = _fold(columns[:cut], *start), _fold(columns[cut:], *start)
+    return ExactDistribution(*head, *tail, tail_columns=tuple(columns[cut:]))
 
 
 def _critical_value(alpha: float) -> float:

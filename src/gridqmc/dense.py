@@ -34,6 +34,7 @@ from .flowmap import (
     _metric_reflection,
     build_estimator_vector,
     line_levels,
+    overload_cut,
 )
 from .injection import EncodedInjection, InjectionDistribution, encode
 from .simulator import _UNITARY_TOL, StateVector, _frozen_real, householder
@@ -43,12 +44,14 @@ from .simulator import _UNITARY_TOL, StateVector, _frozen_real, householder
 MAX_DENSE_QUBITS = 12
 
 
-def _dense_levels(h_row: np.ndarray, distributions: list[InjectionDistribution], line: str) -> LineLevels:
+def _dense_levels(
+    h_row: np.ndarray, distributions: list[InjectionDistribution], line: str, cut: float | None = None
+) -> LineLevels:
     """:func:`~gridqmc.flowmap.line_levels`, refused over ``MAX_DENSE_QUBITS`` before enumerating."""
     n_qubits = sum(d.n_qubits for d in distributions)
     if n_qubits > MAX_DENSE_QUBITS:
         raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
-    return line_levels(h_row, distributions, line=line)
+    return line_levels(h_row, distributions, line=line, cut=cut)
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def build_line_pipeline(
     """
     encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
-    levels = _dense_levels(h_row, distributions, line)
+    levels = _dense_levels(h_row, distributions, line, overload_cut(metric, threshold))
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator

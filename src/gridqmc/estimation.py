@@ -248,6 +248,26 @@ def _find_next_k(k: int, upper_half: bool, theta_interval: tuple[float, float]) 
     return k, upper_half
 
 
+def _next_angles(
+    theta_interval: tuple[float, float], k: int, upper_half: bool, p_interval: tuple[float, float]
+) -> tuple[float, float]:
+    """Angle interval after a round at power k whose pooled good-state probability lies in ``p_interval``."""
+    theta_l, theta_u = theta_interval
+    p_lo, p_hi = p_interval
+    scaling = 4 * k + 2
+    if upper_half:
+        t_lo = math.acos(1 - 2 * p_lo) / (2 * math.pi)
+        t_hi = math.acos(1 - 2 * p_hi) / (2 * math.pi)
+    else:
+        t_lo = 1 - math.acos(1 - 2 * p_hi) / (2 * math.pi)
+        t_hi = 1 - math.acos(1 - 2 * p_lo) / (2 * math.pi)
+    # _find_next_k keeps the scaled interval inside one half-period, so both ends share the
+    # period of its midpoint.  An end's own period can be one too high: after a round with
+    # no hits in the lower half-plane, t_hi = 1 puts scaling * theta_u on an integer
+    period = int(scaling * (theta_l + theta_u) / 2)
+    return (period + t_lo) / scaling, (period + t_hi) / scaling
+
+
 def iqae(
     g: GroverIterate,
     epsilon: float,
@@ -307,16 +327,8 @@ def iqae(
         round_shots += shots_per_round
         round_ones += ones
 
-        p_lo, p_hi = _clopper_pearson(round_ones, round_shots, alpha_round)
-        scaling = 4 * k + 2
-        if upper_half:
-            t_lo = math.acos(1 - 2 * p_lo) / (2 * math.pi)
-            t_hi = math.acos(1 - 2 * p_hi) / (2 * math.pi)
-        else:
-            t_lo = 1 - math.acos(1 - 2 * p_hi) / (2 * math.pi)
-            t_hi = 1 - math.acos(1 - 2 * p_lo) / (2 * math.pi)
-        theta_l = (int(scaling * theta_l) + t_lo) / scaling
-        theta_u = (int(scaling * theta_u) + t_hi) / scaling
+        p_interval = _clopper_pearson(round_ones, round_shots, alpha_round)
+        theta_l, theta_u = _next_angles((theta_l, theta_u), k, upper_half, p_interval)
         a_l = math.sin(2 * math.pi * theta_l) ** 2
         a_u = math.sin(2 * math.pi * theta_u) ** 2
 

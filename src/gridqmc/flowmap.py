@@ -32,16 +32,31 @@ VALUE_GROUP_TOL = 1e-9
 THRESHOLD_TOL = 1e-9
 
 
-def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def overload_cut(metric: str, threshold: float | None) -> float | None:
+    """``threshold - THRESHOLD_TOL`` for the overload metric, where a level must not straddle it."""
+    return threshold - THRESHOLD_TOL if metric == "overload" and threshold is not None else None
+
+
+def group_values(
+    values: np.ndarray, cut: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster a value vector into distinct levels within an absolute tolerance.
 
     Returns (sorted distinct levels, index of each input value's level,
     smallest input index on each level).  Values are chained: a new level
-    starts where the sorted gap exceeds ``VALUE_GROUP_TOL``.
+    starts where the sorted gap exceeds ``VALUE_GROUP_TOL``, and where the
+    sorted values cross ``cut``, if one is given.  A level is valued at its
+    members' mean, clamped to its side of ``cut``, so ``level >= cut``
+    exactly when every member is.
     """
     order = np.argsort(values)
     ordered = values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > VALUE_GROUP_TOL) + 1))
+    breaks = np.diff(ordered) > VALUE_GROUP_TOL
+    if cut is not None:
+        crossing = int(ordered.searchsorted(cut))  # ordered[crossing:] lie at or above the cut
+        if 0 < crossing < len(ordered):
+            breaks[crossing - 1] = True
+    starts = np.concatenate(([0], np.flatnonzero(breaks) + 1))
     sizes = np.diff(np.append(starts, len(values)))
     labels = np.empty(len(values), dtype=int)
     labels[order] = np.repeat(np.arange(len(starts)), sizes)
@@ -49,6 +64,12 @@ def group_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     distinct = np.add.reduceat(ordered, starts) / sizes
     for k in np.flatnonzero(sizes > 2):
         distinct[k] = ordered[starts[k] : starts[k] + sizes[k]].mean()
+    if cut is not None:  # a mean of members within rounding of the cut can round across it
+        k = int(starts.searchsorted(crossing))  # the first level at or above the cut
+        if k < len(distinct):
+            distinct[k] = max(distinct[k], cut)
+        if k > 0:
+            distinct[k - 1] = min(distinct[k - 1], np.nextafter(cut, -np.inf))
     return distinct, labels, np.minimum.reduceat(order, starts)
 
 
@@ -86,12 +107,14 @@ def line_levels(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
     line: str = "",
+    cut: float | None = None,
 ) -> LineLevels:
     """Enumerate the loading value of every joint state and group equal ones.
 
     ``h_row`` must be the rated distribution-factor row restricted to the
     non-slack buses, ordered consistently with ``distributions``.  Loading
-    signs are folded by absolute value.
+    signs are folded by absolute value.  No level holds loadings on both
+    sides of ``cut`` (see :func:`group_values`).
     """
     h_row = np.asarray(h_row, dtype=float)
     if len(distributions) == 0:
@@ -106,7 +129,7 @@ def line_levels(
         prob = np.multiply.outer(prob, dist.probabilities).ravel()
     loading = np.abs(loading)
 
-    distinct, labels, first = group_values(loading)
+    distinct, labels, first = group_values(loading, cut)
     r = len(distinct)
     return LineLevels(
         line=line,
@@ -275,7 +298,7 @@ def prepared_state(
     encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
     check_qubit_count(n_qubits)
-    levels = line_levels(h_row, distributions, line=line)
+    levels = line_levels(h_row, distributions, line=line, cut=overload_cut(metric, threshold))
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator

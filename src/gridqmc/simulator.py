@@ -63,7 +63,7 @@ class StateVector:
         check_qubit_count(self.n_qubits)
         if amps.shape != (2**self.n_qubits,):
             raise ConfigurationError("amplitude vector length must be 2**n_qubits")
-        if abs(math.sqrt(float(amps @ amps)) - 1.0) > _NORM_TOL:
+        if not abs(math.sqrt(float(amps @ amps)) - 1.0) <= _NORM_TOL:  # a NaN norm is refused too
             raise ConfigurationError("statevector is not normalized")
 
     @property

@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,12 +74,9 @@ def choice_loading(rng, h_row, dists, n):
 
 
 def stable_sort_reference(h_row, dists, tol=1e-9):
-    """The oracle's enumeration with a stable argsort: equal loadings keep
-    their enumeration order, so every level sums its mass in that order.
-    Mean and std are the direct sums over the joint states."""
+    """The oracle's sorted levels with a stable argsort: equal loadings keep
+    their enumeration order, so every level sums its mass in that order."""
     loading, mass = joint_states(h_row, dists)
-    mean = float(loading @ mass)
-    std = math.sqrt(float(((loading - mean) ** 2) @ mass))
     keep = mass > 0.0
     loading, mass = loading[keep], mass[keep]
     order = np.argsort(loading, kind="stable")
@@ -85,7 +84,74 @@ def stable_sort_reference(h_row, dists, tol=1e-9):
     starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > tol) + 1))
     probs = np.add.reduceat(mass, starts)
     values = np.add.reduceat(loading * mass, starts) / probs
-    return values, probs, mean, std
+    return values, probs
+
+
+def rational_states(h_row, dists):
+    """Exact |loading| and mass of every joint state as Fractions of the same float
+    inputs: each bus's ``h * values_mw`` and probabilities, as the oracle forms them."""
+    loading, mass = [Fraction(0)], [Fraction(1)]
+    for h, d in zip(np.asarray(h_row, float), dists):
+        terms = [Fraction(x) for x in (h * d.values_mw).tolist()]
+        probs = [Fraction(p) for p in d.probabilities.tolist()]
+        loading = [x + y for x in loading for y in terms]
+        mass = [m * p for m in mass for p in probs]
+    return [abs(x) for x in loading], mass
+
+
+def rounding_bound(dists, scale=1.0):
+    """Bound on the gap between the oracle's mean, or an overload probability,
+    and the same sum in exact arithmetic.
+
+    First order in the unit roundoff u = 2^-53: every loading is a sum of one
+    rounded term per bus and at most two more additions, every mass a product
+    of one factor per bus, and the sum runs over at most ``n_states`` terms
+    with at most four more roundings, so the gap is at most
+    (n_states + 2 n_buses + 4) u ``scale``; ``scale`` is 1 for a probability
+    and :func:`loading_scale` for the mean.  The bound returned doubles that
+    for the second-order terms.  It holds for any summation order, so for the
+    one-array enumeration and for the two halves alike.
+    """
+    n_states = math.prod(len(d.values_mw) for d in dists)
+    return 2 * (n_states + 2 * len(dists) + 4) * 2.0**-53 * scale
+
+
+def loading_scale(h_row, dists):
+    """The largest |loading| any joint state can reach: the sum over buses of max |h v|, at least 1."""
+    return max(1.0, sum(float(np.max(np.abs(h * d.values_mw))) for h, d in zip(h_row, dists)))
+
+
+def assert_moments_rational(ex, h_row, dists):
+    """Mean within :func:`rounding_bound` of the exact mean, and std^2 within
+    4 S times that of the exact variance, S = :func:`loading_scale`: each
+    deviation |loading - mean| is off by at most twice the mean's bound, and
+    is at most S."""
+    loading, mass = rational_states(h_row, dists)
+    mean = sum(m * x for m, x in zip(mass, loading))
+    var = sum(m * (x - mean) ** 2 for m, x in zip(mass, loading))
+    scale = loading_scale(h_row, dists)
+    bound = rounding_bound(dists, scale)
+    assert abs(Fraction(ex.mean) - mean) <= bound
+    assert abs(Fraction(ex.std) ** 2 - var) <= 4 * scale * bound
+
+
+def rational_overload(h_row, dists):
+    """``P(cut)``: the exact mass of the states whose exact |loading| >= cut, a Fraction."""
+    pairs = sorted(zip(*rational_states(h_row, dists)))
+    above = list(itertools.accumulate((m for _, m in reversed(pairs)), initial=Fraction(0)))[::-1]
+    keys = [x for x, _ in pairs]
+    return lambda cut: above[bisect.bisect_left(keys, Fraction(cut))]
+
+
+def threshold_cutting_at(cut):
+    """A threshold t whose float t - 1e-9 is ``cut`` exactly, or None: near a power
+    of two, t - 1e-9 can step over ``cut``."""
+    t = cut + 1e-9
+    for _ in range(4):
+        if t - 1e-9 == cut:
+            return t
+        t = np.nextafter(t, np.inf if t - 1e-9 < cut else -np.inf)
+    return None
 
 
 @st.composite
@@ -120,10 +186,10 @@ class TestExactDistribution:
     def test_equals_stable_sort_reference(self, grid):
         h_row, dists = grid
         ex = exact_line_distribution(h_row, dists)
-        values, probs, mean, std = stable_sort_reference(h_row, dists)
+        values, probs = stable_sort_reference(h_row, dists)
         assert np.array_equal(ex.values, values)
         assert np.array_equal(ex.probabilities, probs)
-        assert (ex.mean, ex.std) == (mean, std)
+        assert_moments_rational(ex, h_row, dists)
 
     @given(tied_grids())
     @settings(max_examples=150, deadline=None)
@@ -134,11 +200,15 @@ class TestExactDistribution:
         loading, mass = joint_states(h_row, dists)
         assert np.array_equal(ex.loading, loading)
         assert np.array_equal(ex.mass, mass)
+        # every exact loading lies within rounding of a multiple of 0.1, so no cut here
+        # falls within rounding of a loading, and the states counted are fixed
+        exact = rational_overload(h_row, dists)
+        bound = rounding_bound(dists)
         for t in (*np.unique(loading), *(k * 0.1 for k in range(-1, 202))):
-            assert ex.overload_probability(t) == mass[loading >= t - 1e-9].sum()
+            assert abs(Fraction(ex.overload_probability(t)) - exact(t - 1e-9)) <= bound
 
     def test_metric_path_sorts_nothing(self):
-        # 2^20 joint states: |loading| and mass take 8 MiB each; the sort onto levels peaks near 64 MiB
+        # 2^20 joint states: one per-state array would take 8 MiB; each half holds 2^10 states
         h_row, dists = synthetic_grid(10)
         tracemalloc.start()
         try:
@@ -147,9 +217,22 @@ class TestExactDistribution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
-        assert "_levels" not in vars(ex)
-        assert "std" not in vars(ex)
+        assert peak <= 2**20
+        assert not {"_states", "_moments", "_levels"} & vars(ex).keys()
+
+    def test_moments_form_one_matrix(self):
+        # mean and std: one 2^10 x 2^10 |head + tail| matrix of 8 MiB, reused in place
+        h_row, dists = synthetic_grid(10)
+        ex = exact_line_distribution(h_row, dists)
+        tracemalloc.start()
+        try:
+            ex.metric("mean")
+            assert ex.std > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
+        assert not {"_states", "_levels"} & vars(ex).keys()
 
     def test_bound_checked_before_enumerating(self):
         # 2^21 joint states: one enumerated array alone would take 16 MiB
@@ -191,6 +274,100 @@ class TestExactDistribution:
             ex = exact_line_distribution(rng.uniform(-1, 1, 2), dists)
             assert ex.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(ex.values) > 0)
+
+
+def dist(bus, values, probs):
+    return InjectionDistribution(bus, np.asarray(values, float), np.asarray(probs, float))
+
+
+SPLIT_GRIDS = {
+    # one bus: the head is empty
+    "one_bus": ([0.3], [dist(0, [-2, -1, 1, 3], [0.1, 0.2, 0.3, 0.4])]),
+    # a 16-level bus beside three 2-level buses: the head is the wide bus alone, 4 of 7 qubits
+    "uneven": ([0.07, -0.2, 0.15, 0.1], [
+        dist(0, np.arange(16) - 7, np.arange(16) / 120), dist(1, [0, 2], [0.3, 0.7]),
+        dist(2, [-1, 1], [0.5, 0.5]), dist(3, [-3, 4], [0.9, 0.1]),
+    ]),
+    # zero-probability bins in both halves, chains of equal loadings across them
+    "zero_bins": ([0.1, 0.2, -0.1, 0.3], [
+        dist(0, [-2, -1, 1, 2], [0.0, 0.5, 0.5, 0.0]), dist(1, [0, 1], [1.0, 0.0]),
+        dist(2, [-1, 1, 2, 3], [0.25, 0.0, 0.5, 0.25]), dist(3, [-1, 0], [0.6, 0.4]),
+    ]),
+    # multiples of 1/8: every sum is exact, so a state can sit exactly on the cut
+    "dyadic": ([0.5, -0.25, 0.125], [
+        dist(0, [-3, -1, 1, 3], [0.1, 0.2, 0.3, 0.4]), dist(1, [0, 2], [0.5, 0.5]),
+        dist(2, [-4, -2, 0, 6], [0.25, 0.0, 0.5, 0.25]),
+    ]),
+}
+
+#: sign-symmetric loadings: every state of positive probability loads the line by the same |c|
+SIGMA_ZERO_GRIDS = {
+    "one_bus": (0.7, [0.7], [dist(0, [-1, 1], [0.5, 0.5])]),
+    "head_symmetric": (0.6, [0.3, 0.0, 0.0], [dist(0, [-2, 2], [0.5, 0.5]), dist(1, [-1, 4], [0.25, 0.75]),
+                                              dist(2, [0, 1], [0.6, 0.4])]),
+    "tail_symmetric": (0.45, [0.0, 0.45, 0.0], [dist(0, [-1, 1], [0.3, 0.7]), dist(1, [-1, 1], [0.5, 0.5]),
+                                                dist(2, [0, 1], [0.2, 0.8])]),
+    # the zero-probability bins load the line by 0.9
+    "zero_bins": (0.3, [0.3, 0.0], [dist(0, [-3, -1, 1, 3], [0.0, 0.4, 0.6, 0.0]), dist(1, [0, 1], [0.5, 0.5])]),
+}
+
+
+class TestTwoHalves:
+    @pytest.mark.parametrize("name", SPLIT_GRIDS)
+    def test_equals_references(self, name):
+        h_row, dists = SPLIT_GRIDS[name]
+        ex = exact_line_distribution(h_row, dists)
+        loading, mass = joint_states(h_row, dists)
+        assert np.array_equal(ex.loading, loading)
+        assert np.array_equal(ex.mass, mass)
+        values, probs = stable_sort_reference(h_row, dists)
+        assert np.array_equal(ex.values, values)
+        assert np.array_equal(ex.probabilities, probs)
+        assert_moments_rational(ex, h_row, dists)
+        exact, bound = rational_overload(h_row, dists), rounding_bound(dists)
+        for t in (*np.unique(loading), 0.0, 1e-9, 10.0):  # on every loading, and every state or none
+            assert abs(Fraction(ex.overload_probability(t)) - exact(t - 1e-9)) <= bound
+
+    @pytest.mark.parametrize("name, head_states",
+                             [("one_bus", 1), ("uneven", 16), ("zero_bins", 8), ("dyadic", 4)])
+    def test_cut_nearest_half_the_qubits(self, name, head_states):
+        ex = exact_line_distribution(*SPLIT_GRIDS[name])
+        assert len(ex.head_loading) == len(ex.head_mass) == head_states
+        assert len(ex.head_loading) * len(ex.tail_loading) == len(ex.loading)
+
+    def test_threshold_at_the_tolerance_edge(self):
+        # a state whose loading equals threshold - 1e-9 counts; with the cut one ulp higher, it does not
+        h_row, dists = SPLIT_GRIDS["dyadic"]
+        ex = exact_line_distribution(h_row, dists)
+        exact = rational_overload(h_row, dists)
+        levels = np.unique(ex.loading[ex.mass > 0])
+        checked = 0
+        for level in levels[levels > 0]:
+            cuts = (level, np.nextafter(level, np.inf))
+            thresholds = [threshold_cutting_at(cut) for cut in cuts]
+            if None in thresholds:
+                continue
+            for cut, t in zip(cuts, thresholds):
+                assert abs(Fraction(ex.overload_probability(t)) - exact(cut)) <= rounding_bound(dists)
+                state_by_state = ex.mass[ex.loading >= t - 1e-9].sum()
+                assert ex.overload_probability(t) == pytest.approx(state_by_state, rel=0, abs=1e-15)
+            assert exact(cuts[0]) - exact(cuts[1]) > 0.01  # the level's own mass
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_not_finite_refused(self, threshold):
+        ex = exact_line_distribution(*SPLIT_GRIDS["uneven"])
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ex.overload_probability(threshold)
+
+    @pytest.mark.parametrize("name", SIGMA_ZERO_GRIDS)
+    def test_sign_symmetric_std_is_zero(self, name):
+        c, h_row, dists = SIGMA_ZERO_GRIDS[name]
+        ex = exact_line_distribution(h_row, dists)
+        assert ex.mean == pytest.approx(c, rel=0, abs=1e-15)
+        assert ex.std <= 1e-12
+        assert_moments_rational(ex, h_row, dists)
 
 
 class TestRequiredSamples:

@@ -546,6 +546,17 @@ class TestCli:
         assert calls == [] and not out.exists()
         assert capsys.readouterr().err == "error: analysis.shots_per_round: must lie in [1, 1000]\n"
 
+    def test_run_iqae_after_rounds_without_hits(self, tmp_path):
+        # seed 60 at 5 shots per round draws no hit in rounds at one power in the lower
+        # half-plane; the angle interval once grew by a period a round and came out inverted
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(shots_per_round=5, seed=60))
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(path), "--methods", "iqae,exact", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        iqae_result = report["results"]["iqae"]
+        assert iqae_result["ci_low"] <= report["exact_value"] <= iqae_result["ci_high"]
+        assert report["ci_contains_exact"] == {"iqae": True}
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
         ("seed", -1), ("epsilon", 0.3), ("epsilon", 0.25),

@@ -24,6 +24,7 @@ from gridqmc.estimation import (
     _check_rotation,
     _clopper_pearson,
     _find_next_k,
+    _next_angles,
     build_grover_iterate,
 )
 from gridqmc.flowmap import prepared_state
@@ -181,6 +182,24 @@ class TestFindNextK:
             assert lo <= hi <= 0.5
         else:
             assert 0.5 <= lo <= hi
+
+
+class TestNextAngles:
+    def test_rounds_without_hits_in_the_lower_half_plane_keep_the_period(self):
+        # k = 4 (scaling 18), the scaled interval [5.6, 5.95] in the lower half of period 5;
+        # no hit in 30 pooled shots gives p_lo = 0, so 18 * theta_u lands on the integer 6
+        k, scaling = 4, 18
+        p_interval = _clopper_pearson(0, 30, 0.05 / 6)
+        assert p_interval[0] == 0.0
+        theta = (5.6 / scaling, 5.95 / scaling)
+        for _ in range(3):  # one round, then two more at the same power
+            theta = _next_angles(theta, k, False, p_interval)
+            assert 5.5 <= scaling * theta[0] < scaling * theta[1] <= 6.0
+        assert theta[1] == pytest.approx(6 / scaling, rel=1e-15)
+
+    def test_upper_half_plane_maps_into_the_midpoint_period(self):
+        theta = _next_angles((2.1 / 10, 2.3 / 10), 2, True, (0.2, 0.3))
+        assert 2.0 <= 10 * theta[0] < 10 * theta[1] <= 2.5
 
 
 class TestIqae:

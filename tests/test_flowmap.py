@@ -97,6 +97,31 @@ class TestGroupValues:
             assert np.array_equal(distinct, ref_distinct)
             assert np.array_equal(first, np.unique(labels, return_index=True)[1])
 
+    def test_cut_starts_a_level(self):
+        # one chain of gaps under 1e-9 without a cut; the cut splits it where the values cross it
+        values = np.array([1.0, 0.5 + 1e-10, 0.5 - 1.5e-9, 0.5 - 0.7e-9])
+        distinct, labels, first = group_values(values)
+        assert len(distinct) == 2
+        distinct, labels, first = group_values(values, cut=0.5 - 1e-9)
+        assert np.array_equal(labels, [2, 1, 0, 1])
+        assert np.array_equal(first, [2, 1, 0])
+        assert distinct[1] == (values[1] + values[3]) / 2
+        # a cut outside the values, or on a gap between levels, changes nothing
+        for cut in (0.0, 0.75, 2.0):
+            assert all(np.array_equal(x, y) for x, y in zip(group_values(values, cut=cut), group_values(values)))
+
+    @pytest.mark.parametrize("cut, members", [
+        (0.6732655185893088, [0.6732655185893088] * 3),  # their mean rounds one ulp below them
+        (np.nextafter(0.429774133877448, np.inf), [0.429774133877448] * 3),  # and one ulp above
+    ])
+    def test_level_valued_on_its_side_of_the_cut(self, cut, members):
+        values = np.array([0.1, *members])
+        assert (np.mean(members) >= cut) != (members[0] >= cut)
+        distinct, labels, _ = group_values(values, cut=cut)
+        assert np.array_equal(labels, [0, 1, 1, 1])
+        assert (distinct[1] >= cut) == (members[0] >= cut)
+        assert abs(distinct[1] - members[0]) <= 2 * np.spacing(members[0])
+
 
 class TestOrthonormalize:
     def test_identity_unchanged(self):

@@ -26,6 +26,11 @@ class TestStateVector:
         with pytest.raises(ConfigurationError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_amplitudes_refused(self, amplitudes):
+        with pytest.raises(ConfigurationError, match="not normalized"):
+            StateVector(1, amplitudes)
+
     def test_dimension_enforced(self):
         with pytest.raises(ConfigurationError):
             StateVector(2, np.array([1.0, 0.0]))

@@ -29,7 +29,8 @@ from gridqmc import (
 from gridqmc import estimation, flowmap
 from gridqmc.estimation import GroverIterate, build_grover_iterate
 from gridqmc.flowmap import LevelCompletion, line_levels, prepared_state
-from gridqmc.runner import _analysis_inputs, stage_state
+from gridqmc.config import parse_config
+from gridqmc.runner import _analysis_inputs, run_analysis, stage_state
 from tests.conftest import nine_qubit_ring, synthetic_grid
 
 
@@ -342,3 +343,56 @@ def test_twenty_qubit_study_within_the_full_length_peak():
     assert len(psi) == 2**20
     assert res.ci_high - res.ci_low <= 0.02
     assert peak / 2**20 <= FULL_LENGTH_PEAK_MIB
+
+
+def chain_study(rng):
+    """``(h_row, dists, threshold)`` with a chain of loadings under 1e-9 apart across the cut
+    threshold - 1e-9, and zero-probability bins: the chain bus has unit sensitivity, and
+    the other buses take the value 0 among others."""
+    threshold = float(rng.uniform(0.3, 0.9))
+    cut = threshold - 1e-9
+    first = int(rng.integers(2))  # three consecutive offsets, gaps under 1e-9, on both sides of 0
+    chain = [cut + offset for offset in (-0.9e-9, -0.3e-9, 0.2e-9, 0.8e-9)[first : first + 3]]
+    dists, h_row = [], [1.0]
+    weights = rng.integers(0, 3, 4).astype(float)
+    weights[rng.integers(3)] += 1
+    dists.append(InjectionDistribution(1, np.array([*chain, 2.0]), weights / weights.sum()))
+    for bus in range(2, int(rng.integers(2, 4)) + 1):
+        others = rng.choice([-0.4, -0.2, 0.1, 0.3], 1 if bus % 2 else 3, replace=False)
+        values = np.sort(np.append(others, 0.0))
+        weights = rng.integers(0, 3, len(values)).astype(float)
+        weights[values == 0.0] += 1
+        dists.append(InjectionDistribution(bus, values, weights / weights.sum()))
+        h_row.append(float(rng.choice([0.5, -1.0, 1.0])))
+    return np.array(h_row), dists, threshold
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_overload_amplitude_equals_the_oracle_per_joint_state(seed):
+    # the quantum path counts each joint state on its side of the cut, as the oracle does
+    h_row, dists, threshold = chain_study(np.random.default_rng(seed))
+    # the cut splits a chain
+    assert line_levels(h_row, dists, cut=threshold - 1e-9).n_rows > line_levels(h_row, dists).n_rows
+    psi, _, estimator = prepared_state(h_row, dists, "overload", threshold)
+    exact = exact_line_distribution(h_row, dists).overload_probability(threshold)
+    got = 0.0 if psi is None else estimator.scaling * abs(psi[-1])
+    assert got == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+def test_two_bus_chain_across_the_threshold():
+    # loadings 0.5 - 1.5e-9, 0.5 - 0.7e-9 and 0.5 + 1e-10 chain into one level across the
+    # cut 0.5 - 1e-9; the oracle counts the last two, and the first is 40 % of the mass
+    raw = {
+        "network": {"buses": [1, 2], "slack_bus": 1, "lines": [
+            {"id": "1-2", "from_bus": 1, "to_bus": 2, "susceptance_pu": 1.0, "rating_mw": 1.0},
+        ]},
+        "injections": [{"bus": 2, "values_mw": [0.5 - 1.5e-9, 0.5 - 0.7e-9, 0.5 + 1e-10, 1.0],
+                        "probabilities": [0.4, 0.2, 0.2, 0.2]}],
+        "analysis": {"line": "1-2", "metric": "overload", "threshold_pct": 50,
+                     "methods": ["iqae", "cmc", "exact"], "seed": 3},
+    }
+    report = run_analysis(parse_config(raw))
+    assert report.exact_value == pytest.approx(0.6, abs=1e-12)
+    assert report.coverage == {"iqae": True, "cmc": True}
+    iqae_result = report.results["iqae"]
+    assert iqae_result.ci_low <= 0.6 <= iqae_result.ci_high
