@@ -142,8 +142,9 @@ def _fold(
     """Signed loading and mass of the joint states, ``loading`` and ``mass`` extended by each column.
 
     A column is one bus's scaled values and probabilities; mixed radix, the
-    new bus least significant.  One outer product per bus: a half holds at
-    most 2^10 states, where the call count, not the inner loop, sets the cost.
+    new bus least significant.  One outer product per bus: a half of
+    narrow buses holds about 2^(n/2) states, where the number of calls, not
+    the outer product's short inner loop, sets the cost.
     """
     for values, probs in columns:
         loading = np.add.outer(loading, values).ravel()
