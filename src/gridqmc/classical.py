@@ -210,14 +210,15 @@ def _draw_loading(rng: np.random.Generator, h_row: np.ndarray, distributions, n:
     """``n`` draws of |loading|: per bus, the draws of ``rng.choice(values, n, p=p)``, without its checks."""
     loading = np.zeros(n)
     for h, dist in zip(h_row, distributions):
-        cdf = dist.probabilities.cumsum()
-        cdf /= cdf[-1]
+        # cumsum's sequential sums and ``cdf /= cdf[-1]``'s quotients, in Python floats
+        cdf = list(itertools.accumulate(dist.probabilities.tolist()))
+        cdf = [c / cdf[-1] for c in cdf]
         u = rng.random(n)
         if len(cdf) > _COUNT_LEVELS:
-            index = cdf.searchsorted(u, side="right")
+            index = np.searchsorted(cdf, u, side="right")
         else:  # the same index, the count of cut points <= u; cdf[-1] = 1 > u is never one
-            index = np.zeros(n, np.uint8)
-            for cut in cdf[:-1].tolist():
+            index = (u >= cdf[0]).view(np.uint8)
+            for cut in cdf[1:-1]:
                 index += u >= cut
         loading += (h * dist.values_mw).take(index)
     return np.abs(loading, out=loading)
@@ -252,9 +253,12 @@ def classical_mc(
     loading = _draw_loading(np.random.default_rng(rng_seed), np.asarray(h_row, float), distributions, n)
     samples = loading if metric == "mean" else (loading >= threshold - THRESHOLD_TOL).astype(float)
 
-    estimate = float(samples.mean())
+    # ``samples.mean()`` and ``samples.std(ddof=1)``: the same pairwise sums, without their Python layer
+    estimate = float(np.add.reduce(samples)) / n
+    samples -= estimate
+    np.multiply(samples, samples, out=samples)
     # one sample has no sample deviation; fall back on the sigma that sized the budget
-    sigma_sample = float(samples.std(ddof=1)) if n > 1 else sigma_n
+    sigma_sample = math.sqrt(float(np.add.reduce(samples)) / (n - 1)) if n > 1 else sigma_n
     margin = _critical_value(alpha) * sigma_sample / math.sqrt(n)
     return EstimationResult(
         method="cmc",

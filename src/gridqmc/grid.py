@@ -115,33 +115,39 @@ class PtdfMatrix:
 
     def row(self, line_label: str) -> np.ndarray:
         """Row for one line, restricted to the non-slack buses in bus order."""
+        if line_label not in self.line_order:
+            raise ConfigurationError(f"unknown line {line_label!r}")
         j = self.line_order.index(line_label)
         keep = [i for i, b in enumerate(self.bus_order) if b != self.slack_bus]
         return self.h[j, keep].copy()
 
 
 def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Line susceptances by bus, the reduced nodal inverse (refused if singular or overflowing) and the kept buses."""
-    buses = list(network.bus_ids)
-    n_bus = len(buses)
-    pos = {b: i for i, b in enumerate(buses)}
-    slack_pos = pos[network.slack_bus]
+    """Kept-bus line susceptances, the reduced nodal inverse (refused if singular or overflowing), the kept buses.
 
-    b_nodal = np.zeros((n_bus, n_bus))
-    b_flow = np.zeros((len(network.lines), n_bus))
-    with np.errstate(over="ignore"):  # a sum that overflows is refused below, not warned about
-        for j, line in enumerate(network.lines):
-            f, t = pos[line.from_bus], pos[line.to_bus]
-            b = line.susceptance
-            b_nodal[f, f] += b
-            b_nodal[t, t] += b
-            b_nodal[f, t] -= b
-            b_nodal[t, f] -= b
-            b_flow[j, f] = b
-            b_flow[j, t] = -b
+    Each nodal sum adds its lines' susceptances in line order, one float at a
+    time; a sum that overflows is inf and is refused below.
+    """
+    keep = [i for i, b in enumerate(network.bus_ids) if b != network.slack_bus]
+    col = {network.bus_ids[i]: c for c, i in enumerate(keep)}  # the slack bus has no column
+    k = len(keep)
+    reduced = [[0.0] * k for _ in range(k)]
+    b_flow = []
+    for line in network.lines:
+        f, t, b = col.get(line.from_bus), col.get(line.to_bus), line.susceptance
+        row = [0.0] * k
+        if f is not None:
+            reduced[f][f] += b
+            row[f] = b
+        if t is not None:
+            reduced[t][t] += b
+            row[t] = -b
+            if f is not None:
+                reduced[f][t] -= b
+                reduced[t][f] -= b
+        b_flow.append(row)
 
-    keep = [i for i in range(n_bus) if i != slack_pos]
-    reduced = b_nodal[np.ix_(keep, keep)]
+    reduced = np.array(reduced)
     if not np.all(np.isfinite(reduced)):  # inv would return zeros, a PTDF of all zeros
         raise ConfigurationError("nodal susceptance sums overflow: the reduced susceptance matrix is not finite")
     try:
@@ -150,7 +156,7 @@ def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
         raise DisconnectedNetworkError("reduced susceptance matrix is singular") from exc
     if not np.all(np.isfinite(inv)):
         raise DisconnectedNetworkError("reduced susceptance matrix is singular")
-    return b_flow, inv, keep
+    return np.array(b_flow), inv, keep
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
@@ -161,8 +167,8 @@ def build_ptdf(network: Network) -> PtdfMatrix:
     flows for any injection vector ``p`` with the slack absorbing the balance.
     """
     b_flow, inv, keep = _nodal_solve(network)
-    h = np.zeros(b_flow.shape)
-    h[:, keep] = b_flow[:, keep] @ inv
+    h = np.zeros((len(network.lines), len(network.bus_ids)))
+    h[:, keep] = b_flow @ inv
     return PtdfMatrix(
         h=h,
         rated=False,
@@ -182,3 +188,14 @@ def rate_scale_ptdf(ptdf: PtdfMatrix, network: Network) -> PtdfMatrix:
     except KeyError as exc:
         raise ConfigurationError(f"unknown line {exc.args[0]!r}") from None
     return replace(ptdf, h=ptdf.h / ratings[:, None], rated=True)
+
+
+def rated_row(network: Network, line_label: str) -> np.ndarray:
+    """``rate_scale_ptdf(build_ptdf(network), network).row(line_label)``, bit for bit, without the full matrix.
+
+    The whole lines × kept-buses product is formed, as in :func:`build_ptdf`:
+    a one-row product takes another BLAS path and can differ in the last bit.
+    """
+    b_flow, inv, _ = _nodal_solve(network)
+    j = network.line_index(line_label)
+    return (b_flow @ inv)[j] / network.lines[j].rating_mw

@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, line_levels, prepared_state
-from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
+from .grid import _nodal_solve, rated_row
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, check_shots, sample_counts
 
@@ -61,10 +61,7 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 
 def _analysis_inputs(config: PipelineConfig):
-    ptdf = rate_scale_ptdf(build_ptdf(config.network), config.network)
-    h_row = ptdf.row(config.analysis.line)
-    distributions = config.ordered_injections()
-    return h_row, distributions
+    return rated_row(config.network, config.analysis.line), config.ordered_injections()
 
 
 def run_analysis(config: PipelineConfig) -> RunReport:
@@ -128,7 +125,10 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
     and forms no matrix.  Stage V is ``A|0>`` from the oracle in
     :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its amplitudes
-    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  A
+    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  Stage
+    L does not split a level at the overload cut, where psi and stage V do:
+    on an ``overload`` study whose chain of loadings straddles t - 1e-9,
+    stage V is not the metric reflection of stage L.  A
     study over ``MAX_QUBITS`` is refused by
     :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
     enumerated.
@@ -136,7 +136,7 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
-    if stage == "psi":  # reads no PTDF, but refuses a network that build_ptdf refuses
+    if stage == "psi":  # reads no PTDF, but refuses a network that rated_row refuses
         _nodal_solve(config.network)
         distributions = config.ordered_injections()
     else:

@@ -495,6 +495,27 @@ class TestClassicalMc:
         monkeypatch.setattr(classical, "_draw_loading", choice_loading)
         assert result == classical_mc(*args, **kwargs)
 
+    @pytest.mark.parametrize("kind", ["uniform", "zero_one", "constant"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 127, 128, 129, 1000, 4097, 65_537, 2**20])
+    def test_statistics_equal_ndarray_mean_and_std(self, kind, n, monkeypatch):
+        # fixed samples in place of the draws: the estimate and the interval are those of
+        # ndarray.mean() and ndarray.std(ddof=1), bit for bit, across numpy's pairwise blocks
+        dists = [forecast(1), forecast(2)]
+        metric, threshold = ("overload", 1.0) if kind == "zero_one" else ("mean", None)
+        loading = {"uniform": np.random.default_rng(n).random(n),
+                   "zero_one": np.where(np.random.default_rng(n).random(n) < 0.3, 2.0, 0.0),
+                   "constant": np.full(n, 0.3)}[kind]
+        monkeypatch.setattr(classical, "_draw_loading", lambda rng, h_row, dists, m: loading.copy())
+        samples = loading if metric == "mean" else (loading >= 1.0 - 1e-9).astype(float)
+        exact = exact_line_distribution([0.4, 0.6], dists)
+        value = exact.metric(metric, threshold)
+        sigma = exact.std if metric == "mean" else math.sqrt(value * (1 - value))
+        res = classical_mc([0.4, 0.6], dists, metric, 1.96 * sigma / math.sqrt(n), 0.05,
+                           rng_seed=0, threshold=threshold)
+        assert res.shots_total == n
+        estimate, margin = float(samples.mean()), 1.96 * float(samples.std(ddof=1)) / math.sqrt(n)
+        assert (res.metric_value, res.ci_low, res.ci_high) == (estimate, estimate - margin, estimate + margin)
+
     def test_seed_reproducibility(self):
         dists = [forecast(1), forecast(2)]
         r1 = classical_mc([0.4, 0.6], dists, "mean", 0.01, 0.05, rng_seed=12)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,11 @@ from gridqmc import (
     apply,
     build_grover,
     build_line_pipeline,
+    builtin_config_path,
     iqae,
+    load_config,
     rescale,
+    run_analysis,
     zero_state,
 )
 from gridqmc import estimation
@@ -217,6 +220,20 @@ class TestIqae:
             assert res.ci_high - res.ci_low <= 0.02
             hits += res.ci_low <= 0.25 <= res.ci_high
         assert hits / 200 >= 0.95
+
+    @pytest.mark.parametrize("name", ["three_bus", "five_bus"])
+    @pytest.mark.parametrize("metric", ["mean", "overload"])
+    def test_five_shots_per_round_coverage(self, name, metric):
+        # criterion 4 at 5 shots a round: no run stops at max_rounds (its EstimationFailureError
+        # fails the test), and the interval misses the exact value in 0-4 of the 200 runs.  At
+        # 3 shots, 20 three_bus and 2 five_bus mean runs of 200 stop at max_rounds
+        base = load_config(builtin_config_path(name))
+        hits = 0
+        for seed in range(200):
+            an = replace(base.analysis, metric=metric, threshold_pct=90.0, methods=("iqae", "exact"),
+                         shots_per_round=5, seed=seed)
+            hits += run_analysis(replace(base, analysis=an)).coverage["iqae"]
+        assert hits / 200 >= 0.93
 
     def test_default_pipeline_interval_and_accounting(self, three_bus_grover):
         g, a_true = three_bus_grover

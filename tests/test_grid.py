@@ -9,14 +9,17 @@ from gridqmc import (
     Line,
     Network,
     build_ptdf,
+    builtin_config_path,
     encode,
     joint_state,
+    load_config,
     rate_scale_ptdf,
     stage_state,
 )
 from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
+from gridqmc.grid import rated_row
 from gridqmc.runner import STAGES
 from tests.conftest import nine_qubit_ring, ring_study
 
@@ -122,6 +125,43 @@ def test_row_accessor_excludes_slack(three_bus_ring):
     assert row == pytest.approx([1 / 6, -1 / 6])
 
 
+def full_matrix_row(network: Network, line: str) -> np.ndarray:
+    return rate_scale_ptdf(build_ptdf(network), network).row(line)
+
+
+@pytest.mark.parametrize("row", [full_matrix_row, rated_row])
+def test_row_of_an_unknown_line_refused(three_bus_ring, row):
+    with pytest.raises(ConfigurationError, match="^unknown line 'nope'$"):
+        row(three_bus_ring, "nope")
+
+
+def random_network(rng: np.random.Generator) -> Network:
+    """A random tree plus chords, parallel and reversed lines among them; susceptances over six decades."""
+    n = int(rng.integers(2, 13))
+    buses = [int(b) for b in rng.permutation(np.arange(1, n + 1) * 3)]
+    pairs = [(buses[i], buses[int(rng.integers(i))]) for i in range(1, n)]
+    pairs += [tuple(int(b) for b in rng.choice(buses, 2, replace=False)) for _ in range(rng.integers(0, n + 2))]
+    lines = [Line(f, t, susceptance=float(10 ** rng.uniform(-3, 3)), rating_mw=float(rng.uniform(0.5, 500)),
+                  name=f"L{j}") for j, (f, t) in enumerate(pairs)]
+    return Network(tuple(buses), slack_bus=buses[int(rng.integers(n))], lines=tuple(lines))
+
+
+def row_networks():
+    for name in ("three_bus", "five_bus"):
+        yield pytest.param(load_config(builtin_config_path(name)).network, id=name)
+    for n in range(2, 11):
+        for seed in range(5):
+            yield pytest.param(parse_config(ring_study(n, seed)).network, id=f"ring{n}-seed{seed}")
+    for seed in range(40):
+        yield pytest.param(random_network(np.random.default_rng(seed)), id=f"random-seed{seed}")
+
+
+@pytest.mark.parametrize("network", row_networks())
+def test_rated_row_equals_the_full_matrix_row_bit_for_bit(network):
+    for line in network.lines:
+        assert rated_row(network, line.label).tobytes() == full_matrix_row(network, line.label).tobytes()
+
+
 def test_disconnected_network_rejected():
     with pytest.raises(DisconnectedNetworkError):
         Network((1, 2, 3, 4), slack_bus=1, lines=(Line(1, 2, 1.0, 1.0), Line(3, 4, 1.0, 1.0)))
@@ -195,12 +235,22 @@ def test_run_refuses_overflowing_nodal_sums(tmp_path, capsys):
     assert OVERFLOW in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("network, line, error", [
+    (parse_config(overflowing_nodal_sums()).network, "1-2", ConfigurationError),
+    (bridged_by_a_subnormal_line().network, "1-2", DisconnectedNetworkError),
+], ids=["overflow", "singular"])  # an unknown line: test_row_of_an_unknown_line_refused
+def test_rated_row_refuses_what_the_full_matrix_refuses(network, line, error):
+    for row in (full_matrix_row, rated_row):
+        with pytest.raises(error) as refused:
+            row(network, line)
+        assert type(refused.value) is error
+
+
 def test_stage_psi_builds_no_ptdf(monkeypatch):
     def refuse(*_):
         raise AssertionError("stage psi built the PTDF")
 
-    monkeypatch.setattr(runner, "build_ptdf", refuse)
-    monkeypatch.setattr(runner, "rate_scale_ptdf", refuse)
+    monkeypatch.setattr(runner, "rated_row", refuse)
     config = nine_qubit_ring()
     psi = joint_state([encode(d) for d in config.ordered_injections()])
     assert np.array_equal(stage_state(config, "psi").amplitudes, psi.amplitudes)
