@@ -210,13 +210,16 @@ def _draw_loading(rng: np.random.Generator, h_row: np.ndarray, distributions, n:
     """``n`` draws of |loading|: per bus, the draws of ``rng.choice(values, n, p=p)``, without its checks."""
     loading = np.zeros(n)
     for h, dist in zip(h_row, distributions):
-        # cumsum's sequential sums and ``cdf /= cdf[-1]``'s quotients, in Python floats
-        cdf = list(itertools.accumulate(dist.probabilities.tolist()))
-        cdf = [c / cdf[-1] for c in cdf]
+        p = dist.probabilities
         u = rng.random(n)
-        if len(cdf) > _COUNT_LEVELS:
-            index = np.searchsorted(cdf, u, side="right")
+        if len(p) > _COUNT_LEVELS:
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            index = cdf.searchsorted(u, side="right")
         else:  # the same index, the count of cut points <= u; cdf[-1] = 1 > u is never one
+            # cumsum's sequential sums and ``cdf /= cdf[-1]``'s quotients, in Python floats
+            cdf = list(itertools.accumulate(p.tolist()))
+            cdf = [c / cdf[-1] for c in cdf]
             index = (u >= cdf[0]).view(np.uint8)
             for cut in cdf[1:-1]:
                 index += u >= cut

@@ -115,9 +115,10 @@ class PtdfMatrix:
 
     def row(self, line_label: str) -> np.ndarray:
         """Row for one line, restricted to the non-slack buses in bus order."""
-        if line_label not in self.line_order:
-            raise ConfigurationError(f"unknown line {line_label!r}")
-        j = self.line_order.index(line_label)
+        try:
+            j = self.line_order.index(line_label)
+        except ValueError:
+            raise ConfigurationError(f"unknown line {line_label!r}") from None
         keep = [i for i, b in enumerate(self.bus_order) if b != self.slack_bus]
         return self.h[j, keep].copy()
 
@@ -125,29 +126,31 @@ class PtdfMatrix:
 def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Kept-bus line susceptances, the reduced nodal inverse (refused if singular or overflowing), the kept buses.
 
-    Each nodal sum adds its lines' susceptances in line order, one float at a
-    time; a sum that overflows is inf and is refused below.
+    Only the nonzero entries are summed, in Python floats and line order: O(lines) Python work
+    whatever the bus count. A sum that overflows is inf and is refused below.
     """
     keep = [i for i, b in enumerate(network.bus_ids) if b != network.slack_bus]
     col = {network.bus_ids[i]: c for c, i in enumerate(keep)}  # the slack bus has no column
-    k = len(keep)
-    reduced = [[0.0] * k for _ in range(k)]
-    b_flow = []
-    for line in network.lines:
+    k, n_lines = len(keep), len(network.lines)
+    nodal, flow = {}, {}  # nonzero entries of the reduced matrix and of b_flow's transpose, by flat index
+    for j, line in enumerate(network.lines):
         f, t, b = col.get(line.from_bus), col.get(line.to_bus), line.susceptance
-        row = [0.0] * k
         if f is not None:
-            reduced[f][f] += b
-            row[f] = b
+            ff = f * k + f
+            nodal[ff] = nodal.get(ff, 0.0) + b
+            flow[f * n_lines + j] = b
         if t is not None:
-            reduced[t][t] += b
-            row[t] = -b
+            tt = t * k + t
+            nodal[tt] = nodal.get(tt, 0.0) + b
+            flow[t * n_lines + j] = -b
             if f is not None:
-                reduced[f][t] -= b
-                reduced[t][f] -= b
-        b_flow.append(row)
-
-    reduced = np.array(reduced)
+                ft, tf = f * k + t, t * k + f
+                nodal[ft] = nodal.get(ft, 0.0) - b
+                nodal[tf] = nodal.get(tf, 0.0) - b
+    reduced = np.zeros((k, k))
+    np.put(reduced, list(nodal), list(nodal.values()))
+    b_flow_t = np.zeros((k, n_lines))
+    np.put(b_flow_t, list(flow), list(flow.values()))
     if not np.all(np.isfinite(reduced)):  # inv would return zeros, a PTDF of all zeros
         raise ConfigurationError("nodal susceptance sums overflow: the reduced susceptance matrix is not finite")
     try:
@@ -156,7 +159,9 @@ def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
         raise DisconnectedNetworkError("reduced susceptance matrix is singular") from exc
     if not np.all(np.isfinite(inv)):
         raise DisconnectedNetworkError("reduced susceptance matrix is singular")
-    return np.array(b_flow), inv, keep
+    # b_flow in Fortran order, the layout the PTDF's bits are pinned to: BLAS takes another kernel
+    # for a C-ordered operand, whose last bits differ at some sizes (first at 18 buses)
+    return b_flow_t.T, inv, keep
 
 
 def build_ptdf(network: Network) -> PtdfMatrix:
@@ -188,14 +193,3 @@ def rate_scale_ptdf(ptdf: PtdfMatrix, network: Network) -> PtdfMatrix:
     except KeyError as exc:
         raise ConfigurationError(f"unknown line {exc.args[0]!r}") from None
     return replace(ptdf, h=ptdf.h / ratings[:, None], rated=True)
-
-
-def rated_row(network: Network, line_label: str) -> np.ndarray:
-    """``rate_scale_ptdf(build_ptdf(network), network).row(line_label)``, bit for bit, without the full matrix.
-
-    The whole lines × kept-buses product is formed, as in :func:`build_ptdf`:
-    a one-row product takes another BLAS path and can differ in the last bit.
-    """
-    b_flow, inv, _ = _nodal_solve(network)
-    j = network.line_index(line_label)
-    return (b_flow @ inv)[j] / network.lines[j].rating_mw

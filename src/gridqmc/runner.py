@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, line_levels, prepared_state
-from .grid import _nodal_solve, rated_row
+from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, check_shots, sample_counts
 
@@ -61,7 +61,10 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 
 def _analysis_inputs(config: PipelineConfig):
-    return rated_row(config.network, config.analysis.line), config.ordered_injections()
+    ptdf = rate_scale_ptdf(build_ptdf(config.network), config.network)
+    h_row = ptdf.row(config.analysis.line)
+    distributions = config.ordered_injections()
+    return h_row, distributions
 
 
 def run_analysis(config: PipelineConfig) -> RunReport:
@@ -136,7 +139,7 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
     an = config.analysis
-    if stage == "psi":  # reads no PTDF, but refuses a network that rated_row refuses
+    if stage == "psi":  # reads no PTDF, but refuses a network that build_ptdf refuses
         _nodal_solve(config.network)
         distributions = config.ordered_injections()
     else:
