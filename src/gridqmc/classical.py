@@ -105,7 +105,17 @@ class ExactDistribution:
         above = np.concatenate((mass[::-1].cumsum()[::-1], [0.0]))
         return self.tail_loading[order], below, above
 
+    @cached_property
+    def _overload(self) -> dict[float, float]:
+        return {}
+
     def overload_probability(self, threshold: float) -> float:
+        """P(|loading| >= threshold - 1e-9), counted once per threshold (exact and cmc both read it)."""
+        if threshold not in self._overload:
+            self._overload[threshold] = self._count_overload(threshold)
+        return self._overload[threshold]
+
+    def _count_overload(self, threshold: float) -> float:
         if not math.isfinite(threshold):  # the bounds below would be NaN
             raise ConfigurationError("overload threshold must be finite")
         cut = threshold - THRESHOLD_TOL

@@ -13,8 +13,11 @@ S0, Sg is an index operation (a column gather, none for the identity, or a
 negation) that gives the product's entries exactly, so stage V makes three
 d x d BLAS calls when R = I: the metric reflection's gram, A = H P R prep
 and A's gram.  A matrix that a builder here makes is checked in place, not
-copied, and each d x d temporary is freed before the next product.  Each
-2^n x 2^n operator takes 2^(2n + 3) bytes, so the builders stop at
+copied.  :func:`build_line_pipeline` forms H, and frees its gram, before P
+and R exist, and :func:`assemble_pipeline` drops each factor once its
+product is formed, so stage V holds at most four d x d matrices at once
+(H, P, R and H P at the column gather).  Each 2^n x 2^n operator takes
+2^(2n + 3) bytes, 128 MiB at 12 qubits, so the builders stop at
 ``MAX_DENSE_QUBITS``.  They serve histogram stage V and check the
 structured path in the tests.
 """
@@ -283,13 +286,21 @@ def assemble_pipeline(
 ) -> PipelineUnitary:
     """Multiply the stage unitaries into one dense operator.
 
-    Each d x d temporary is freed before the next product: H P R, then the
-    Kronecker product of the preps, then A and its gram.
+    H and P are dropped after the column gather H P, R after the product by
+    R, and that product and the Kronecker product of the preps once A
+    exists.  A caller that hands over its only references to ``h`` and
+    ``factorization``, as :func:`build_line_pipeline` does, thus holds at
+    most four d x d matrices at once: H, P, R and H P.  A caller that keeps
+    its references gets the same A and keeps its factors unchanged.
     """
     dim = factorization.v_h.dim
     if math.prod(p.dim for p in preps) != dim or h.dim != dim:
         raise ConfigurationError("stage dimensions do not match")
-    x = _times(_times(h.entries, factorization.u_padded), factorization.v_h)
+    x = _times(h.entries, factorization.u_padded)
+    r = factorization.v_h
+    del h, factorization  # H and P go here unless the caller holds them too
+    x = _times(x, r)
+    del r
     prep = preps[0].entries
     for p in preps[1:]:
         prep = _kron(prep, p.entries)
@@ -317,10 +328,12 @@ def build_line_pipeline(
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator
-    factorization = unitary_factorize(levels)
-    h_unitary = householder_unitary(estimator.v)
     preps = [state_prep_unitary(enc) for enc in encodings]
-    pipeline = assemble_pipeline(preps, factorization, h_unitary, estimator.scaling)
+    # H, and its gram, before P and R; no name here holds a factor that assemble_pipeline drops
+    pipeline = assemble_pipeline(
+        preps, h=householder_unitary(estimator.v), factorization=unitary_factorize(levels),
+        scaling=estimator.scaling,
+    )
     return pipeline, levels, estimator
 
 

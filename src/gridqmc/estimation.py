@@ -332,6 +332,10 @@ def iqae(
         a_l = math.sin(2 * math.pi * theta_l) ** 2
         a_u = math.sin(2 * math.pi * theta_u) ** 2
 
+    if not a_l <= a_u:  # an angle update gone wrong, not the study: no result, as at the round cap
+        raise EstimationFailureError(
+            f"inverted interval [{a_l:.6g}, {a_u:.6g}] after {rounds} rounds", partial_interval=(a_l, a_u)
+        )
     estimate = (a_l + a_u) / 2
     return EstimationResult(
         method="iqae",

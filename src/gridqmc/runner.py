@@ -11,7 +11,6 @@ from . import __version__
 from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
-from .dense import apply, build_line_pipeline, zero_state
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
 from .flowmap import LevelCompletion, line_levels, prepared_state
 from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
@@ -146,6 +145,8 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         h_row, distributions = _analysis_inputs(config)
     check_qubit_count(sum(d.n_qubits for d in distributions))
     if stage == "V":
+        from .dense import apply, build_line_pipeline, zero_state  # the oracle, loaded for stage V alone
+
         threshold = an.threshold_fraction if an.metric == "overload" else None
         pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
         if pipeline is None:

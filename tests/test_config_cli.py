@@ -270,6 +270,21 @@ class TestRunAnalysis:
         assert len(calls) == 1
         assert report.results["cmc"].shots_total == 8454
 
+    def test_counts_overload_once(self, three_bus_config, monkeypatch):
+        # the exact result and classical_mc's budget read the same probability
+        import dataclasses
+
+        from gridqmc.classical import ExactDistribution
+
+        calls, count = [], ExactDistribution._count_overload
+        monkeypatch.setattr(ExactDistribution, "_count_overload", lambda ex, t: calls.append(t) or count(ex, t))
+        an = dataclasses.replace(three_bus_config.analysis, metric="overload", threshold_pct=90.0,
+                                 methods=("exact", "cmc"))
+        report = run_analysis(dataclasses.replace(three_bus_config, analysis=an))
+        assert calls == [0.9]
+        assert report.results["exact"].metric_value == report.exact_value == count(
+            exact_line_distribution(*_analysis_inputs(three_bus_config)), 0.9)
+
     def test_report_deterministic(self, three_bus_config):
         r1 = run_analysis(three_bus_config).to_json()
         r2 = run_analysis(three_bus_config).to_json()
@@ -556,6 +571,14 @@ class TestCli:
         iqae_result = report["results"]["iqae"]
         assert iqae_result["ci_low"] <= report["exact_value"] <= iqae_result["ci_high"]
         assert report["ci_contains_exact"] == {"iqae": True}
+
+    def test_run_inverted_interval_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gridqmc.estimation, "_next_angles", lambda *args: (0.2, 0.1))
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(builtin_config_path("three_bus")), "--methods", "iqae",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("estimation failure: inverted interval [0.904508, 0.345492]")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", 0.0), ("alpha", -0.1), ("epsilon", 0.0), ("shots_per_round", 0),
@@ -872,6 +895,18 @@ class TestPackageSurface:
             "import sys, gridqmc.cli; "
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
             "assert not loaded, loaded"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gridqmc.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_leaves_out_the_dense_oracle(self):
+        code = (
+            "import sys, gridqmc.cli; "
+            "assert 'gridqmc.dense' not in sys.modules; "
+            "from gridqmc import apply, build_line_pipeline; "
+            "import gridqmc, gridqmc.dense as dense; "
+            "assert [getattr(gridqmc, n) is getattr(dense, n) for n in gridqmc._DENSE_NAMES] == [True] * 12"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(gridqmc.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

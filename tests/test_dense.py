@@ -1,5 +1,6 @@
 """Each index operation of the dense builders against the matrix product it replaces, bit for bit."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from gridqmc import (
     state_prep_unitary,
     unitary_factorize,
 )
+from gridqmc.config import parse_config
 from gridqmc.dense import UnitaryFactorization, reflection_unitary
-from gridqmc.flowmap import LevelCompletion, _metric_reflection
-from gridqmc.runner import _analysis_inputs
+from gridqmc.flowmap import LevelCompletion, _metric_reflection, line_levels
+from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import _UNITARY_TOL, householder
-from tests.conftest import nine_qubit_ring, random_distribution
+from tests.conftest import nine_qubit_ring, random_distribution, ring_study
 
 
 def _study(config):
@@ -94,6 +96,56 @@ def test_assembly_equals_the_product_of_the_stage_matrices(parts):
         kron = np.kron(kron, p.entries)
     expected = h.entries @ fact.u_padded.entries @ fact.v_h.entries @ kron
     assert np.array_equal(assemble_pipeline(preps, fact, h, estimator.scaling).a.entries, expected)
+
+
+def test_assembly_is_the_same_whether_the_caller_keeps_or_hands_over_its_factors(parts):
+    _, encodings, lf_map, estimator, fact = parts
+    preps = [state_prep_unitary(e) for e in encodings]
+    h = householder_unitary(estimator.v)
+
+    def held():
+        return [(u.entries.tobytes(), None if u.order is None else u.order.tobytes())
+                for u in (h, fact.u_padded, fact.v_h, *preps)]
+
+    before = held()
+    kept = assemble_pipeline(preps, fact, h, estimator.scaling)  # as perfbench/replay.py calls it
+    assert held() == before
+    handed = assemble_pipeline(
+        preps, h=householder_unitary(estimator.v), factorization=unitary_factorize(lf_map),
+        scaling=estimator.scaling,
+    )
+    assert handed.a.entries.tobytes() == kept.a.entries.tobytes()
+
+
+def _distinct_nine_qubit_ring():
+    """``nine_qubit_ring`` with drawn bus values: every joint state is a level of its own (R = I)."""
+    raw = ring_study(5, seed=4)
+    raw["injections"][-1].update(values_mw=[-1, 2], probabilities=[0.3, 0.7])
+    rng = np.random.default_rng(0)
+    for injection in raw["injections"]:
+        injection["values_mw"] = np.sort(rng.uniform(-2, 1, len(injection["values_mw"]))).tolist()
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize("config, identity_r", [
+    (_distinct_nine_qubit_ring, True),
+    (lambda: parse_config(ring_study(5)), False),
+], ids=["nine-qubits-R=I", "ring5-R!=I"])
+def test_stage_v_holds_at_most_four_dense_matrices(config, identity_r):
+    # H, P, R and H P at the column gather, plus a quarter matrix for the 2^n vectors
+    cfg = config()
+    h_row, dists = _analysis_inputs(cfg)
+    levels = line_levels(h_row, dists)
+    assert (levels.n_rows == levels.n_columns) == identity_r
+    stage_state(cfg, "V")  # imports and first-call set-up are not counted
+    tracemalloc.start()
+    try:
+        state = stage_state(cfg, "V")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = 8 * state.dim**2
+    assert peak <= 4.25 * matrix_bytes
 
 
 def test_grover_equals_the_three_product_form(parts):

@@ -235,6 +235,15 @@ class TestIqae:
             hits += run_analysis(replace(base, analysis=an)).coverage["iqae"]
         assert hits / 200 >= 0.93
 
+    def test_inverted_interval_is_an_estimation_failure(self, three_bus_grover, monkeypatch):
+        # an angle update that puts theta_l above theta_u is the loop's fault, not the study's
+        g, _ = three_bus_grover
+        monkeypatch.setattr(estimation, "_next_angles", lambda *args: (0.2, 0.1))
+        with pytest.raises(EstimationFailureError, match="inverted interval") as info:
+            iqae(g, epsilon=0.01, alpha=0.05, rng_seed=3)
+        a_l, a_u = info.value.partial_interval
+        assert (a_l, a_u) == (math.sin(0.4 * math.pi) ** 2, math.sin(0.2 * math.pi) ** 2)
+
     def test_default_pipeline_interval_and_accounting(self, three_bus_grover):
         g, a_true = three_bus_grover
         res = iqae(g, epsilon=0.01, alpha=0.05, rng_seed=3)

@@ -11,9 +11,12 @@ most ``dense.MAX_DENSE_QUBITS`` qubits (n = 4 and 6: 8 and 12 qubits),
 and ``cmc`` for the three reports), source tree, wall time, the child's peak
 RSS (``os.wait4``) and the sha256 of the report or CSV. A report records its
 study's path, so its sha256 compares trees within one invocation only.
+``--stages`` limits a run to the named rungs, for example ``--stages V`` to
+the two stage-V runs.
 
     python3 tools/histogram_ladder.py
     python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3
+    python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3 --stages V
 
 With several ``--src`` trees the runs alternate between them, so that two
 versions of the program are timed under the same machine load. Needs numpy
@@ -71,6 +74,8 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--src", nargs="+", type=Path, default=[ROOT / "src"],
                     help="gridqmc source trees to run, alternated (default: this checkout's src)")
     ap.add_argument("--repeat", type=int, default=1, help="runs per study, stage and tree")
+    ap.add_argument("--stages", nargs="+", choices=list(COMMANDS), default=list(COMMANDS),
+                    help="rungs to run, by their stage column (default: all)")
     args = ap.parse_args(argv)
     print("qubits stage src wall_s peak_rss_mb sha256")
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,7 +87,7 @@ def main(argv: list[str] | None = None) -> None:
             overload = Path(tmp) / f"ring{n_buses}_overload.json"
             overload.write_text(json.dumps(raw))
             stages = STAGES if 2 * n_buses <= MAX_DENSE_QUBITS else STAGES[:2]  # V is dense
-            for stage in ("run", "overload", "cmc", *stages):
+            for stage in (s for s in ("run", "overload", "cmc", *stages) if s in args.stages):
                 path = overload if stage == "overload" else study
                 for _ in range(args.repeat):
                     for src in args.src:
