@@ -32,7 +32,7 @@ print("\nstate |L> after the flow mapping (one row per distinct loading level):"
 # rated distribution factors of the monitored line, one per non-slack bus
 h_row = rate_scale_ptdf(build_ptdf(config.network), config.network).row(config.analysis.line)
 dists = config.ordered_injections()
-psi_v, levels, estimator = prepared_state(h_row, dists, "mean", line=config.analysis.line)
+psi_v, levels, estimator = prepared_state(h_row, dists, "mean")
 for value, amp in zip(levels.distinct_values, loading_state.amplitudes):
     print(f"  loading {value:6.4f}  amplitude {amp.real:+.4f}")
 

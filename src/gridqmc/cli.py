@@ -78,8 +78,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "run":
                 Path(args.out).write_text(text + "\n")
             else:
-                seed = args.seed if args.seed is not None else config.analysis.seed
-                print(f"wrote {export_histogram(config, args.stage, args.shots, seed, args.out)}")
+                out = export_histogram(config, args.stage, args.shots, config.analysis.seed, args.out)
+                print(f"wrote {out}")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -48,13 +48,13 @@ MAX_DENSE_QUBITS = 12
 
 
 def _dense_levels(
-    h_row: np.ndarray, distributions: list[InjectionDistribution], line: str, cut: float | None = None
+    h_row: np.ndarray, distributions: list[InjectionDistribution], cut: float | None = None
 ) -> LineLevels:
     """:func:`~gridqmc.flowmap.line_levels`, refused over ``MAX_DENSE_QUBITS`` before enumerating."""
     n_qubits = sum(d.n_qubits for d in distributions)
     if n_qubits > MAX_DENSE_QUBITS:
         raise ConfigurationError(f"{n_qubits} qubits are over the dense path's {MAX_DENSE_QUBITS}-qubit budget")
-    return line_levels(h_row, distributions, line=line, cut=cut)
+    return line_levels(h_row, distributions, cut=cut)
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,11 @@ def build_line_map(
 ) -> LineFlowMap:
     """Dense form of :func:`~gridqmc.flowmap.line_levels`: one 0/1 row per loading level.
 
-    Raises :class:`ConfigurationError` above ``MAX_DENSE_QUBITS``, before
-    any joint state is enumerated.
+    ``line`` is accepted for callers that pass it and is not read.  Raises
+    :class:`ConfigurationError` above ``MAX_DENSE_QUBITS``, before any joint
+    state is enumerated.
     """
-    levels = _dense_levels(h_row, distributions, line)
+    levels = _dense_levels(h_row, distributions)
     n_rows, n_cols = levels.n_rows, levels.n_columns
     m = np.zeros((n_rows, n_cols))
     m[levels.labels, np.arange(n_cols)] = 1.0
@@ -314,7 +315,6 @@ def build_line_pipeline(
     distributions: list[InjectionDistribution],
     metric: str,
     threshold: float | None = None,
-    line: str = "",
 ) -> tuple[PipelineUnitary | None, LineLevels, EstimatorVector]:
     """Run the full construction for one line and metric.
 
@@ -324,7 +324,7 @@ def build_line_pipeline(
     """
     encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
-    levels = _dense_levels(h_row, distributions, line, overload_cut(metric, threshold))
+    levels = _dense_levels(h_row, distributions, overload_cut(metric, threshold))
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator

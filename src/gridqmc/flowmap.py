@@ -86,7 +86,6 @@ class LineLevels:
     states add nothing to either, whatever their loading.
     """
 
-    line: str
     distinct_values: np.ndarray
     labels: np.ndarray
     first: np.ndarray
@@ -106,7 +105,6 @@ class LineLevels:
 def line_levels(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
-    line: str = "",
     cut: float | None = None,
 ) -> LineLevels:
     """Enumerate the loading value of every joint state and group equal ones.
@@ -132,7 +130,6 @@ def line_levels(
     distinct, labels, first = group_values(loading, cut)
     r = len(distinct)
     return LineLevels(
-        line=line,
         distinct_values=distinct,
         labels=labels,
         first=first,
@@ -284,7 +281,6 @@ def prepared_state(
     distributions: list[InjectionDistribution],
     metric: str,
     threshold: float | None = None,
-    line: str = "",
 ) -> tuple[np.ndarray | None, LineLevels, EstimatorVector]:
     """psi = A|0> for one line and metric, A = H P R prep; no operator is formed.
 
@@ -298,7 +294,7 @@ def prepared_state(
     encodings = [encode(d) for d in distributions]
     n_qubits = sum(enc.n_qubits for enc in encodings)
     check_qubit_count(n_qubits)
-    levels = line_levels(h_row, distributions, line=line, cut=overload_cut(metric, threshold))
+    levels = line_levels(h_row, distributions, cut=overload_cut(metric, threshold))
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator

@@ -12,7 +12,7 @@ from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
-from .flowmap import LevelCompletion, line_levels, prepared_state
+from .flowmap import LevelCompletion, line_levels, overload_cut, prepared_state
 from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, check_shots, sample_counts
@@ -89,7 +89,7 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         del exact
 
     if "iqae" in an.methods:
-        psi, _, estimator = prepared_state(h_row, distributions, an.metric, threshold, line=an.line)
+        psi, _, estimator = prepared_state(h_row, distributions, an.metric, threshold)
         if psi is None:
             # nothing to estimate; the metric is exactly zero
             results["iqae"] = EstimationResult.point("iqae", 0.0, an.epsilon, an.alpha, an.seed)
@@ -127,11 +127,9 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
     and forms no matrix.  Stage V is ``A|0>`` from the oracle in
     :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its amplitudes
-    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  Stage
-    L does not split a level at the overload cut, where psi and stage V do:
-    on an ``overload`` study whose chain of loadings straddles t - 1e-9,
-    stage V is not the metric reflection of stage L.  A
-    study over ``MAX_QUBITS`` is refused by
+    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  L and
+    V group the loadings alike, split at the overload cut, so stage V is the
+    metric reflection of stage L.  A study over ``MAX_QUBITS`` is refused by
     :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
     enumerated.
     """
@@ -143,12 +141,12 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         distributions = config.ordered_injections()
     else:
         h_row, distributions = _analysis_inputs(config)
+        threshold = an.threshold_fraction if an.metric == "overload" else None
     check_qubit_count(sum(d.n_qubits for d in distributions))
     if stage == "V":
         from .dense import apply, build_line_pipeline, zero_state  # the oracle, loaded for stage V alone
 
-        threshold = an.threshold_fraction if an.metric == "overload" else None
-        pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold, line=an.line)
+        pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold)
         if pipeline is None:
             raise ConfigurationError("estimator is degenerate; stage V is undefined")
         return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
@@ -156,8 +154,8 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     if stage == "psi":
         return psi
     # stage L: the flow map applied to the joint state, estimator reflection omitted
-    completion = LevelCompletion.from_levels(line_levels(h_row, distributions, line=an.line))
-    return StateVector(psi.n_qubits, completion.apply(psi.amplitudes))
+    levels = line_levels(h_row, distributions, cut=overload_cut(an.metric, threshold))
+    return StateVector(psi.n_qubits, LevelCompletion.from_levels(levels).apply(psi.amplitudes))
 
 
 def export_histogram(

@@ -31,7 +31,7 @@ from gridqmc import (
 from gridqmc.estimation import EstimationResult, build_grover_iterate, iqae
 from gridqmc.flowmap import prepared_state
 from gridqmc.runner import _analysis_inputs
-from tests.conftest import random_distribution
+from tests.studies import random_distribution
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -21,7 +21,7 @@ from gridqmc import classical
 from gridqmc.classical import MAX_CMC_SAMPLES, _critical_value, _draw_loading
 from gridqmc.errors import ConfigurationError, EnumerationBoundError
 from gridqmc.runner import _analysis_inputs
-from tests.conftest import FORECAST_PROBS, random_distribution, synthetic_grid
+from tests.studies import FORECAST_PROBS, random_distribution, synthetic_grid
 
 
 def forecast(bus):

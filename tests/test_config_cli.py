@@ -30,7 +30,12 @@ from gridqmc.estimation import MAX_SHOTS_PER_ROUND
 from gridqmc.flowmap import line_levels, prepared_state
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
 from gridqmc.simulator import StateVector, sample_counts
-from tests.conftest import nine_qubit_ring, ring_study
+from tests.studies import nine_qubit_ring, ring_study
+
+
+def edited(change):
+    """The study's JSON text after ``change`` edits its parsed value in place."""
+    return lambda raw: change(raw) or json.dumps(raw)
 
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
@@ -530,6 +535,64 @@ class TestCli:
             tmp_path, lambda raw: raw["injections"][0].update(probabilities=[1, 1, 1, 1])
         )
         assert main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(edited(lambda raw: raw["network"]["buses"].append(3)), "duplicate bus ids",
+                     id="duplicate-bus-ids"),
+        pytest.param(edited(lambda raw: raw["network"].update(lines=[])), "network needs at least one line",
+                     id="no-lines"),
+        pytest.param(edited(lambda raw: raw["network"]["lines"].append(
+            {"id": "1-9", "from_bus": 1, "to_bus": 9, "susceptance_pu": 1.0, "rating_mw": 1.0})),
+            "line 1-9 references an undeclared bus", id="undeclared-bus"),
+        pytest.param(edited(lambda raw: raw["network"]["lines"][2].update(id="1-2")), "duplicate line labels",
+                     id="duplicate-line-labels"),
+        pytest.param(edited(lambda raw: raw["injections"][1].update(bus=1)), "injections: duplicate bus entry",
+                     id="duplicate-injection-bus"),
+        pytest.param(edited(lambda raw: raw["injections"].append(
+            {"bus": 3, "values_mw": [0, 1], "probabilities": [0.5, 0.5]})),
+            "injections: unexpected buses [3]", id="injection-at-slack"),
+        pytest.param(edited(lambda raw: raw["analysis"].update(metric="median")),
+                     "analysis.metric: unknown metric 'median'", id="unknown-metric"),
+        pytest.param(edited(lambda raw: raw["analysis"].update(threshold_pct=0)),
+                     "analysis.threshold_pct: must lie in (0, 150]", id="threshold-0"),
+        pytest.param(edited(lambda raw: raw["analysis"].update(threshold_pct=151)),
+                     "analysis.threshold_pct: must lie in (0, 150]", id="threshold-151"),
+        pytest.param(edited(lambda raw: raw["analysis"].update(methods=["iqae", "qmc"])),
+                     "analysis.methods: unknown method 'qmc'", id="unknown-method"),
+        pytest.param(edited(lambda raw: raw["analysis"].update(methods=[])),
+                     "analysis.methods: must not be empty", id="empty-methods"),
+        pytest.param(lambda raw: json.dumps(raw)[:-1], "not valid JSON", id="invalid-json"),
+        pytest.param(edited(lambda raw: raw["injections"][0].update(probabilities=[0.5, 0.5])),
+                     "bus 1: values and probabilities differ in length", id="length-mismatch"),
+        pytest.param(edited(lambda raw: raw["injections"][0].update(probabilities=[1.5, -0.5, 0, 0])),
+                     "bus 1: probabilities must lie in [0, 1]", id="probability-outside-0-1"),
+    ])
+    def test_validate_refuses_invalid_study(self, text, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text(json.loads(builtin_config_path("three_bus").read_text())))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_run_prints_the_report_without_out(self, capsys):
+        path = builtin_config_path("three_bus")
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == run_analysis(load_config(path)).to_json() + "\n"
+
+    def test_histogram_seed_overrides_the_study(self, tmp_path):
+        path, out = builtin_config_path("three_bus"), tmp_path / "h.csv"
+        assert main(["histogram", "--config", str(path), "--stage", "L", "--shots", "256", "--seed", "5",
+                     "--out", str(out)]) == 0
+        config = load_config(path)
+        assert config.analysis.seed != 5
+        seeded = export_histogram(config, "L", 256, 5, tmp_path / "seeded.csv").read_bytes()
+        assert out.read_bytes() == seeded
+        assert seeded != export_histogram(config, "L", 256, config.analysis.seed, tmp_path / "own.csv").read_bytes()
+
+    def test_unknown_builtin_and_stage_refused(self, three_bus_config):
+        with pytest.raises(ConfigurationError, match="no builtin configuration named 'nine_bus'"):
+            builtin_config_path("nine_bus")
+        with pytest.raises(ConfigurationError, match=r"unknown stage 'X', expected one of \('psi', 'L', 'V'\)"):
+            stage_state(three_bus_config, "X")
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "0"), ("--alpha", "-0.1"), ("--alpha", "1"), ("--epsilon", "0"), ("--epsilon", "nan"),

@@ -26,7 +26,7 @@ from gridqmc.dense import UnitaryFactorization, reflection_unitary
 from gridqmc.flowmap import LevelCompletion, _metric_reflection, line_levels
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import _UNITARY_TOL, householder
-from tests.conftest import nine_qubit_ring, random_distribution, ring_study
+from tests.studies import nine_qubit_ring, random_distribution, ring_study
 
 
 def _study(config):

@@ -47,7 +47,7 @@ def three_bus_grover():
 
     cfg = load_config(builtin_config_path("three_bus"))
     h_row, dists = _analysis_inputs(cfg)
-    pipe, _, est = build_line_pipeline(h_row, dists, "mean", line=cfg.analysis.line)
+    pipe, _, est = build_line_pipeline(h_row, dists, "mean")
     a_true = apply(pipe.a, zero_state(4)).probabilities()[pipe.good_state_index]
     return build_grover(pipe), a_true
 
@@ -157,7 +157,7 @@ class TestClopperPearsonCache:
         an = cfg.analysis
         h_row, dists = _analysis_inputs(cfg)
         threshold = an.threshold_fraction if an.metric == "overload" else None
-        psi, _, _ = prepared_state(h_row, dists, an.metric, threshold, line=an.line)
+        psi, _, _ = prepared_state(h_row, dists, an.metric, threshold)
         g = build_grover_iterate(psi)
         _clopper_pearson.cache_clear()
         cold = iqae(g, an.epsilon, an.alpha, an.shots_per_round, rng_seed=an.seed)

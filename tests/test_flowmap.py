@@ -19,7 +19,7 @@ from gridqmc import (
 from gridqmc.config import parse_config
 from gridqmc.flowmap import group_values
 from gridqmc.runner import run_analysis
-from tests.conftest import random_distribution, synthetic_grid
+from tests.studies import random_distribution, synthetic_grid
 
 
 def unit_dist(bus, values):

@@ -20,7 +20,7 @@ from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
 from gridqmc.runner import STAGES
-from tests.conftest import nine_qubit_ring, ring_study
+from tests.studies import nine_qubit_ring, ring_study
 
 
 def nodal_flow_solve(network: Network, injections: dict[int, float]) -> np.ndarray:

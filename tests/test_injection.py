@@ -11,7 +11,7 @@ from gridqmc import (
     state_prep_unitary,
     zero_state,
 )
-from tests.conftest import FORECAST_PROBS
+from tests.studies import FORECAST_PROBS
 
 
 def dist(probs, bus=1):

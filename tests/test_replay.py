@@ -25,7 +25,7 @@ from gridqmc import (
 )
 from gridqmc.config import parse_config
 from gridqmc.runner import _analysis_inputs
-from tests.conftest import nine_qubit_ring, ring_study
+from tests.studies import nine_qubit_ring, ring_study
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 STUDIES = ["three_bus", "five_bus", "nine_qubit_ring"]

@@ -14,7 +14,7 @@ from gridqmc import (
 )
 from gridqmc.injection import InjectionDistribution
 from gridqmc.simulator import MAX_SHOTS
-from tests.conftest import FORECAST_PROBS, random_distribution
+from tests.studies import FORECAST_PROBS, random_distribution
 
 
 def forecast(bus=1):

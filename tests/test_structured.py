@@ -18,6 +18,7 @@ from gridqmc import (
     builtin_config_path,
     encode,
     exact_line_distribution,
+    householder_unitary,
     iqae,
     joint_state,
     load_config,
@@ -26,12 +27,12 @@ from gridqmc import (
     unitary_factorize,
     zero_state,
 )
-from gridqmc import estimation, flowmap
+from gridqmc import Line, Network, estimation, flowmap, runner
 from gridqmc.estimation import GroverIterate, build_grover_iterate
 from gridqmc.flowmap import LevelCompletion, line_levels, prepared_state
-from gridqmc.config import parse_config
+from gridqmc.config import AnalysisSettings, PipelineConfig, parse_config
 from gridqmc.runner import _analysis_inputs, run_analysis, stage_state
-from tests.conftest import nine_qubit_ring, synthetic_grid
+from tests.studies import nine_qubit_ring, synthetic_grid
 
 
 def materialize(op, dim):
@@ -367,8 +368,14 @@ def chain_study(rng):
     return np.array(h_row), dists, threshold
 
 
+def assert_stage_v_reflects_stage_l(config, estimator):
+    """Histogram stage V is the metric reflection H of stage L: both group the loadings alike."""
+    reflected = householder_unitary(estimator.v).entries @ stage_state(config, "L").amplitudes
+    assert np.max(np.abs(reflected - stage_state(config, "V").amplitudes)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", range(30))
-def test_overload_amplitude_equals_the_oracle_per_joint_state(seed):
+def test_overload_amplitude_equals_the_oracle_per_joint_state(seed, monkeypatch):
     # the quantum path counts each joint state on its side of the cut, as the oracle does
     h_row, dists, threshold = chain_study(np.random.default_rng(seed))
     # the cut splits a chain
@@ -377,6 +384,13 @@ def test_overload_amplitude_equals_the_oracle_per_joint_state(seed):
     exact = exact_line_distribution(h_row, dists).overload_probability(threshold)
     got = 0.0 if psi is None else estimator.scaling * abs(psi[-1])
     assert got == pytest.approx(exact, rel=0, abs=1e-12)
+    if psi is not None:
+        # the histogram stages of the study: a star around slack bus 0 whose row is the chain's
+        buses = [d.bus for d in dists]
+        network = Network((0, *buses), 0, tuple(Line(0, bus, 1.0, 1.0) for bus in buses))
+        analysis = AnalysisSettings("0-1", "overload", threshold_pct=100 * threshold)
+        monkeypatch.setattr(runner, "_analysis_inputs", lambda config: (h_row, dists))
+        assert_stage_v_reflects_stage_l(PipelineConfig(network, tuple(dists), analysis), estimator)
 
 
 def test_two_bus_chain_across_the_threshold():
@@ -391,8 +405,15 @@ def test_two_bus_chain_across_the_threshold():
         "analysis": {"line": "1-2", "metric": "overload", "threshold_pct": 50,
                      "methods": ["iqae", "cmc", "exact"], "seed": 3},
     }
-    report = run_analysis(parse_config(raw))
+    config = parse_config(raw)
+    report = run_analysis(config)
     assert report.exact_value == pytest.approx(0.6, abs=1e-12)
     assert report.coverage == {"iqae": True, "cmc": True}
     iqae_result = report.results["iqae"]
     assert iqae_result.ci_low <= 0.6 <= iqae_result.ci_high
+    # histogram stage L splits the chain at the cut too, into three levels: the amplitudes are
+    # the probabilities over their norm sqrt(0.28), and the level of 0.2 and 0.2 takes 0.4 / sqrt(2)
+    expected = np.array([0.4**2, 0.4**2 / 2, 0.2**2, 0.0]) / 0.28
+    assert stage_state(config, "L").probabilities() == pytest.approx(expected, abs=1e-12)
+    _, _, estimator = prepared_state(*_analysis_inputs(config), "overload", 0.5)
+    assert_stage_v_reflects_stage_l(config, estimator)

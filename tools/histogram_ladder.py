@@ -1,6 +1,6 @@
 """Size ladder: `gridqmc run` and `gridqmc histogram` on ring studies of 8 to 20 qubits.
 
-Writes ``ring_study(n)`` (tests/conftest.py) for n = 4, 6, 8, 10 to a temporary
+Writes ``ring_study(n)`` (tests/studies.py) for n = 4, 6, 8, 10 to a temporary
 directory and runs on each, in a fresh interpreter and each time to a new
 file, ``gridqmc run`` (its methods ``iqae`` and ``exact``), the same on a copy
 of the study whose metric is ``overload`` at ``threshold_pct`` 40, ``gridqmc
@@ -19,8 +19,8 @@ the two stage-V runs.
     python3 tools/histogram_ladder.py --src ../parent/src src --repeat 3 --stages V
 
 With several ``--src`` trees the runs alternate between them, so that two
-versions of the program are timed under the same machine load. Needs numpy
-and pytest (for tests/conftest.py); it is not part of the test suite.
+versions of the program are timed under the same machine load. Needs numpy,
+not pytest; it is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # tests.conftest imports gridqmc
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # tests.studies imports gridqmc
 
 from gridqmc.dense import MAX_DENSE_QUBITS  # noqa: E402
-from tests.conftest import ring_study  # noqa: E402
+from tests.studies import ring_study  # noqa: E402
 
 RING_BUSES = (4, 6, 8, 10)
 STAGES = ("psi", "L", "V")
