@@ -16,6 +16,7 @@ from gridqmc import (
     rate_scale_ptdf,
     required_samples,
 )
+from gridqmc.flowmap import line_levels
 
 network = Network(
     bus_ids=(1, 2, 3),
@@ -39,10 +40,13 @@ for label, row in zip(ptdf.line_order, ptdf.h):
     print(f"  line {label}: {np.round(row, 4)}")
 
 h_row = ptdf.row("1-2")
-exact = exact_line_distribution(h_row, injections)
+# the loading levels the quantum path groups, each at its probability-weighted loading
+levels = line_levels(h_row, injections)
+live = levels.mass > 0
 print("\nexact |loading| distribution of line 1-2 (fraction of rating):")
-for value, prob in zip(exact.values, exact.probabilities):
+for value, prob in zip(levels.mass_loading[live] / levels.mass[live], levels.mass[live]):
     print(f"  {value:6.4f}  p = {prob:.4f}")
+exact = exact_line_distribution(h_row, injections)
 print(f"\nmean loading      : {exact.mean:.4f}")
 print(f"std of loading    : {exact.std:.4f}")
 print(f"overload P(>=90%) : {exact.overload_probability(0.9):.4f}")

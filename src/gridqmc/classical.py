@@ -23,8 +23,6 @@ from .flowmap import THRESHOLD_TOL
 from .injection import InjectionDistribution
 from .simulator import check_qubit_count
 
-_VALUE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ExactDistribution:
@@ -35,10 +33,9 @@ class ExactDistribution:
     of the two halves' partial loadings and its probability their product.
     ``head_loading``/``head_mass`` and ``tail_loading``/``tail_mass`` are the
     halves' signed partial loadings and probabilities, in mixed-radix order
-    with the first bus most significant, and ``tail_columns`` holds each tail
-    bus's scaled values and probabilities.  Loadings, ``mean`` and ``std``
-    are fractions of the line rating, the unit in which the sample-count
-    formula and epsilon are stated.
+    with the first bus most significant.  Loadings, ``mean`` and ``std`` are
+    fractions of the line rating, the unit in which the sample-count formula
+    and epsilon are stated.
 
     ``mean`` and ``std`` are direct sums over the joint states, from one
     |head + tail| matrix of 2^n entries; ``overload_probability`` counts in
@@ -46,26 +43,13 @@ class ExactDistribution:
     is overloaded when |a + b| >= t' = threshold - 1e-9, with a + b exact:
     b >= t' - a or b <= -t' - a, each bound rounded outward.  A rule on the
     sorted levels could differ where a chain of distinct loadings less than
-    1e-9 apart straddles t'.  ``loading`` and ``mass``, |loading| and
-    probability per joint state in the same order, and the sorted levels
-    ``values`` and ``probabilities`` (zero-mass states dropped) are formed
-    on first access; no report reads them.
+    1e-9 apart straddles t'.
     """
 
     head_loading: np.ndarray
     head_mass: np.ndarray
     tail_loading: np.ndarray
     tail_mass: np.ndarray
-    tail_columns: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def _states(self) -> tuple[np.ndarray, np.ndarray]:
-        # the head's fold continued over the tail: the one left fold of every bus
-        loading, mass = _fold(self.tail_columns, self.head_loading, self.head_mass)
-        return np.abs(loading), mass
-
-    loading = property(lambda self: self._states[0])
-    mass = property(lambda self: self._states[1])
 
     @cached_property
     def _moments(self) -> tuple[float, float]:
@@ -82,21 +66,6 @@ class ExactDistribution:
     std = property(lambda self: self._moments[1])
 
     @cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
-        keep = self.mass > 0.0
-        loading = self.loading[keep]
-        order = np.argsort(loading, kind="stable")  # equal loadings stay in enumeration order
-        loading = loading[order]
-        mass = self.mass[keep][order]
-        # a level is a chain of sorted values whose consecutive gaps are within the tolerance
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > _VALUE_TOL) + 1))
-        probs = np.add.reduceat(mass, starts)
-        return np.add.reduceat(loading * mass, starts) / probs, probs
-
-    values = property(lambda self: self._levels[0])
-    probabilities = property(lambda self: self._levels[1])
-
-    @cached_property
     def _sorted_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted tail loadings b, ``below[i]`` the mass of b[:i] and ``above[i]`` that of b[i:]."""
         order = np.argsort(self.tail_loading)
@@ -110,9 +79,13 @@ class ExactDistribution:
         return {}
 
     def overload_probability(self, threshold: float) -> float:
-        """P(|loading| >= threshold - 1e-9), counted once per threshold (exact and cmc both read it)."""
+        """P(|loading| >= threshold - 1e-9), counted once per threshold (exact and cmc both read it).
+
+        A sum of products of bin probabilities can round above 1, where every
+        joint state counts; the probability is kept at most 1.
+        """
         if threshold not in self._overload:
-            self._overload[threshold] = self._count_overload(threshold)
+            self._overload[threshold] = min(self._count_overload(threshold), 1.0)
         return self._overload[threshold]
 
     def _count_overload(self, threshold: float) -> float:
@@ -177,7 +150,7 @@ def exact_line_distribution(
     cut = min(range(len(head_qubits)), key=lambda k: abs(2 * head_qubits[k] - n_qubits))  # first on a tie
     start = (np.zeros(1), np.ones(1))
     head, tail = _fold(columns[:cut], *start), _fold(columns[cut:], *start)
-    return ExactDistribution(*head, *tail, tail_columns=tuple(columns[cut:]))
+    return ExactDistribution(*head, *tail)
 
 
 def _critical_value(alpha: float) -> float:

@@ -40,14 +40,14 @@ def overload_cut(metric: str, threshold: float | None) -> float | None:
 def group_values(
     values: np.ndarray, cut: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster a value vector into distinct levels within an absolute tolerance.
+    """Cluster a value vector into levels within an absolute tolerance.
 
-    Returns (sorted distinct levels, index of each input value's level,
-    smallest input index on each level).  Values are chained: a new level
-    starts where the sorted gap exceeds ``VALUE_GROUP_TOL``, and where the
-    sorted values cross ``cut``, if one is given.  A level is valued at its
-    members' mean, clamped to its side of ``cut``, so ``level >= cut``
-    exactly when every member is.
+    Returns (each level's smallest value, index of each input value's
+    level, smallest input index on each level).  Values are chained: a new
+    level starts where the sorted gap exceeds ``VALUE_GROUP_TOL``, and where
+    the sorted values cross ``cut``, if one is given.  A level is keyed by
+    its smallest member, an exact input value, so ``level >= cut`` exactly
+    when every member is.
     """
     order = np.argsort(values)
     ordered = values[order]
@@ -60,27 +60,17 @@ def group_values(
     sizes = np.diff(np.append(starts, len(values)))
     labels = np.empty(len(values), dtype=int)
     labels[order] = np.repeat(np.arange(len(starts)), sizes)
-    # reduceat matches ndarray.mean bit for bit only on one or two members
-    distinct = np.add.reduceat(ordered, starts) / sizes
-    for k in np.flatnonzero(sizes > 2):
-        distinct[k] = ordered[starts[k] : starts[k] + sizes[k]].mean()
-    if cut is not None:  # a mean of members within rounding of the cut can round across it
-        k = int(starts.searchsorted(crossing))  # the first level at or above the cut
-        if k < len(distinct):
-            distinct[k] = max(distinct[k], cut)
-        if k > 0:
-            distinct[k - 1] = min(distinct[k - 1], np.nextafter(cut, -np.inf))
-    return distinct, labels, np.minimum.reduceat(order, starts)
+    return ordered[starts], labels, np.minimum.reduceat(order, starts)
 
 
 @dataclass(frozen=True)
 class LineLevels:
     """Distinct loading levels of one line and the level of every joint state.
 
-    ``labels[c]`` is the index into ``distinct_values`` (absolute loading,
-    fraction of rating) reached by joint state ``c`` and ``first[k]`` the
-    smallest joint state on level ``k``; ``row_norms[k]`` is the square
-    root of the number of joint states on level ``k``.
+    ``labels[c]`` is the level of joint state ``c``, ``distinct_values[k]``
+    the smallest absolute loading (fraction of rating) on level ``k`` and
+    ``first[k]`` the smallest joint state on it; ``row_norms[k]`` is the
+    square root of the number of joint states on level ``k``.
     ``mass[k]`` is the probability of level ``k`` and ``mass_loading[k]``
     the probability-weighted sum of its states' loadings; zero-probability
     states add nothing to either, whatever their loading.
@@ -143,30 +133,24 @@ def line_levels(
 class EstimatorVector:
     """Weights turning the loading-distribution state into one risk number.
 
-    For the mean metric the weight of each level is the level itself; for
-    the overload metric it is an indicator of the level reaching the
-    threshold.  Row norms are folded back in so the un-normalized map is
-    effectively applied.  A level of zero probability gets no weight: its
-    amplitude is zero, and a weight would only shrink the estimated
-    amplitude.  ``scaling`` converts the final amplitude into physical
-    units.  ``level_metric`` is every level's share of the metric, taken
-    from its states of positive probability only.
+    Each level is weighed by what it adds to the metric per unit of its
+    probability: for the mean metric its probability-weighted loading
+    ``mass_loading / mass``, for the overload metric 1 where its loadings
+    reach the overload cut.  Row norms are folded back in so the
+    un-normalized map is effectively applied.  A level of zero probability
+    gets no weight: its amplitude is zero, and a weight would only shrink
+    the estimated amplitude.  ``scaling`` converts the final amplitude into
+    physical units; noiselessly it gives the sum of the levels' shares of
+    the metric, the exact oracle's sum.
     """
 
     v: np.ndarray
     scaling: float
-    level_metric: np.ndarray
 
     @property
     def is_degenerate(self) -> bool:
-        """True when no level adds to the metric; the metric is exactly zero.
-
-        Decided from probability mass, not from ``v``: a level's value
-        averages all its states, zero-probability ones included, so a level
-        whose states of positive probability load the line by exactly zero
-        can keep a weight of a few ulps.
-        """
-        return not np.any(self.level_metric)
+        """True when no level adds to the metric; the metric is exactly zero."""
+        return not np.any(self.v)
 
 
 def build_estimator_vector(
@@ -180,22 +164,20 @@ def build_estimator_vector(
     dim = 2**n_qubits
     if levels.n_columns != dim:
         raise ConfigurationError("flow map does not match the qubit count")
+    live = levels.mass > 0
     if metric == "mean":
-        weight = levels.distinct_values * levels.row_norms
-        level_metric = levels.mass_loading
+        value = np.divide(levels.mass_loading, levels.mass, out=np.zeros(levels.n_rows), where=live)
     elif metric == "overload":
         if threshold is None:
             raise ConfigurationError("overload metric needs a threshold")
-        over = levels.distinct_values >= threshold - THRESHOLD_TOL
-        weight = np.where(over, levels.row_norms, 0.0)
-        level_metric = np.where(over, levels.mass, 0.0)
+        value = live & (levels.distinct_values >= overload_cut(metric, threshold))
     else:
         raise ConfigurationError(f"unknown metric {metric!r}")
     v = np.zeros(dim)
-    v[: levels.n_rows] = np.where(levels.mass > 0, weight, 0.0)
+    v[: levels.n_rows] = value * levels.row_norms
     prod_norms = float(np.prod([enc.norm_factor for enc in encodings]))
     scaling = math.sqrt(float(v @ v)) * prod_norms
-    return EstimatorVector(v=v, scaling=scaling, level_metric=level_metric)
+    return EstimatorVector(v=v, scaling=scaling)
 
 
 def _metric_reflection(v: np.ndarray) -> tuple[np.ndarray, float]:

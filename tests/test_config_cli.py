@@ -30,6 +30,7 @@ from gridqmc.estimation import MAX_SHOTS_PER_ROUND
 from gridqmc.flowmap import line_levels, prepared_state
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
 from gridqmc.simulator import StateVector, sample_counts
+from tests.references import stable_sort_reference
 from tests.studies import nine_qubit_ring, ring_study
 
 
@@ -157,11 +158,11 @@ class TestRunAnalysis:
         # the levels of positive mass are the oracle's levels
         h_row, dists = _analysis_inputs(config)
         levels = line_levels(h_row, dists)
-        exact = exact_line_distribution(h_row, dists)
+        values, probs = stable_sort_reference(h_row, dists)
         live = levels.mass > 0
-        assert live.sum() == len(exact.values)
-        assert np.allclose(levels.distinct_values[live], exact.values, rtol=0, atol=1e-9)
-        assert np.allclose(levels.mass[live], exact.probabilities, rtol=0, atol=1e-12)
+        assert live.sum() == len(values)
+        assert np.allclose(levels.mass_loading[live] / levels.mass[live], values, rtol=0, atol=1e-9)
+        assert np.allclose(levels.mass[live], probs, rtol=0, atol=1e-12)
 
     def test_certain_overload(self):
         # every loading exceeds 1% of the rating: the good-state probability is 1 up to rounding
@@ -634,6 +635,29 @@ class TestCli:
         iqae_result = report["results"]["iqae"]
         assert iqae_result["ci_low"] <= report["exact_value"] <= iqae_result["ci_high"]
         assert report["ci_contains_exact"] == {"iqae": True}
+
+    def test_run_certain_overload_reports_probability_one(self, tmp_path):
+        # every joint state loads line 1-0 by at least 3 MW, and the sum of the bin products
+        # rounds to 1.0000000000000002; classical Monte Carlo once took the square root of
+        # 1 - p < 0 and crashed
+        chain = [{"id": "1-0", "from_bus": 1, "to_bus": 0}, {"id": "1-2", "from_bus": 1, "to_bus": 2},
+                 {"id": "2-3", "from_bus": 2, "to_bus": 3}]
+        raw = {
+            "network": {"buses": [0, 1, 2, 3], "slack_bus": 0,
+                        "lines": [{**line, "susceptance_pu": 1.0, "rating_mw": 1.0} for line in chain]},
+            "injections": [{"bus": 1, "values_mw": [1, 2], "probabilities": [0.1, 0.9]},
+                           {"bus": 2, "values_mw": [1, 2], "probabilities": [0.1, 0.9]},
+                           {"bus": 3, "values_mw": [1, 2], "probabilities": [0.2, 0.8]}],
+            "analysis": {"line": "1-0", "metric": "overload", "threshold_pct": 50,
+                         "methods": ["iqae", "cmc", "exact"]},
+        }
+        path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["exact_value"] == 1.0
+        cmc = report["results"]["cmc"]
+        assert (cmc["metric_value"], cmc["ci_low"], cmc["ci_high"], cmc["shots_total"]) == (1.0, 1.0, 1.0, 0)
 
     def test_run_inverted_interval_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gridqmc.estimation, "_next_angles", lambda *args: (0.2, 0.1))

@@ -32,6 +32,7 @@ from gridqmc.estimation import GroverIterate, build_grover_iterate
 from gridqmc.flowmap import LevelCompletion, line_levels, prepared_state
 from gridqmc.config import AnalysisSettings, PipelineConfig, parse_config
 from gridqmc.runner import _analysis_inputs, run_analysis, stage_state
+from tests.references import stable_sort_reference
 from tests.studies import nine_qubit_ring, synthetic_grid
 
 
@@ -111,7 +112,7 @@ def grids(draw):
 def test_generated_grids_match_dense(grid, metric, level_pick):
     h_row, dists = grid
     # overload thresholds sit exactly on a loading level
-    levels = np.unique(np.abs(exact_line_distribution(h_row, dists).values))
+    levels = np.unique(np.abs(stable_sort_reference(h_row, dists)[0]))
     threshold = float(levels[level_pick % len(levels)]) if metric == "overload" else None
     assume(threshold is None or threshold > 0)
     check_against_dense(h_row, dists, metric, threshold)
@@ -374,23 +375,36 @@ def assert_stage_v_reflects_stage_l(config, estimator):
     assert np.max(np.abs(reflected - stage_state(config, "V").amplitudes)) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_overload_amplitude_equals_the_oracle_per_joint_state(seed, monkeypatch):
-    # the quantum path counts each joint state on its side of the cut, as the oracle does
+def assert_amplitude_equals_the_oracle(seed, metric, monkeypatch):
+    """On a chain study, the noiseless ``scaling * |psi_last|`` is the oracle's metric within 1e-12."""
     h_row, dists, threshold = chain_study(np.random.default_rng(seed))
     # the cut splits a chain
     assert line_levels(h_row, dists, cut=threshold - 1e-9).n_rows > line_levels(h_row, dists).n_rows
-    psi, _, estimator = prepared_state(h_row, dists, "overload", threshold)
-    exact = exact_line_distribution(h_row, dists).overload_probability(threshold)
+    metric_threshold = threshold if metric == "overload" else None
+    psi, _, estimator = prepared_state(h_row, dists, metric, metric_threshold)
+    exact = exact_line_distribution(h_row, dists).metric(metric, metric_threshold)
     got = 0.0 if psi is None else estimator.scaling * abs(psi[-1])
     assert got == pytest.approx(exact, rel=0, abs=1e-12)
     if psi is not None:
         # the histogram stages of the study: a star around slack bus 0 whose row is the chain's
         buses = [d.bus for d in dists]
         network = Network((0, *buses), 0, tuple(Line(0, bus, 1.0, 1.0) for bus in buses))
-        analysis = AnalysisSettings("0-1", "overload", threshold_pct=100 * threshold)
+        analysis = AnalysisSettings("0-1", metric, threshold_pct=100 * threshold)
         monkeypatch.setattr(runner, "_analysis_inputs", lambda config: (h_row, dists))
         assert_stage_v_reflects_stage_l(PipelineConfig(network, tuple(dists), analysis), estimator)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_overload_amplitude_equals_the_oracle_per_joint_state(seed, monkeypatch):
+    # the quantum path counts each joint state on its side of the cut, as the oracle does
+    assert_amplitude_equals_the_oracle(seed, "overload", monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mean_amplitude_equals_the_oracle_sum(seed, monkeypatch):
+    # each level weighs in with its probability-weighted loading, so the amplitude sums
+    # what the oracle sums, however close the chain's loadings lie
+    assert_amplitude_equals_the_oracle(seed, "mean", monkeypatch)
 
 
 def test_two_bus_chain_across_the_threshold():
