@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigurationError, EstimationFailureError
-from .simulator import _UNITARY_TOL, _frozen_real, own_vector
+from .simulator import _UNITARY_TOL, _frozen_real
 
 _PHASE_CHECK_TOL = 1e-8
 
@@ -62,7 +62,9 @@ class GroverIterate:
     def step(self, x: np.ndarray) -> np.ndarray:
         """Q x for one vector of the length of psi: negate the good amplitude, reflect about psi."""
         psi = self.start
-        y = own_vector(x, len(psi))  # the one copy of the step, overwritten in place
+        if np.shape(x) != (len(psi),):
+            raise ConfigurationError(f"state must be one vector of length {len(psi)}, not shape {np.shape(x)}")
+        y = np.array(x, dtype=float)  # the one copy of the step, overwritten in place
         y[self.good_state_index] *= -1.0
         y -= psi * (2.0 * (psi @ y))
         return y

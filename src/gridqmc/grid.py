@@ -126,31 +126,25 @@ class PtdfMatrix:
 def _nodal_solve(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Kept-bus line susceptances, the reduced nodal inverse (refused if singular or overflowing), the kept buses.
 
-    Only the nonzero entries are summed, in Python floats and line order: O(lines) Python work
-    whatever the bus count. A sum that overflows is inf and is refused below.
+    One loop over the lines adds each line into the reduced matrix, in line order: O(lines) Python
+    work whatever the bus count. A sum that overflows is inf, without a warning, and is refused below.
     """
     keep = [i for i, b in enumerate(network.bus_ids) if b != network.slack_bus]
     col = {network.bus_ids[i]: c for c, i in enumerate(keep)}  # the slack bus has no column
-    k, n_lines = len(keep), len(network.lines)
-    nodal, flow = {}, {}  # nonzero entries of the reduced matrix and of b_flow's transpose, by flat index
-    for j, line in enumerate(network.lines):
-        f, t, b = col.get(line.from_bus), col.get(line.to_bus), line.susceptance
-        if f is not None:
-            ff = f * k + f
-            nodal[ff] = nodal.get(ff, 0.0) + b
-            flow[f * n_lines + j] = b
-        if t is not None:
-            tt = t * k + t
-            nodal[tt] = nodal.get(tt, 0.0) + b
-            flow[t * n_lines + j] = -b
+    reduced = np.zeros((len(keep), len(keep)))
+    b_flow_t = np.zeros((len(keep), len(network.lines)))
+    with np.errstate(over="ignore"):
+        for j, line in enumerate(network.lines):
+            f, t, b = col.get(line.from_bus), col.get(line.to_bus), line.susceptance
             if f is not None:
-                ft, tf = f * k + t, t * k + f
-                nodal[ft] = nodal.get(ft, 0.0) - b
-                nodal[tf] = nodal.get(tf, 0.0) - b
-    reduced = np.zeros((k, k))
-    np.put(reduced, list(nodal), list(nodal.values()))
-    b_flow_t = np.zeros((k, n_lines))
-    np.put(b_flow_t, list(flow), list(flow.values()))
+                reduced[f, f] += b
+                b_flow_t[f, j] = b
+            if t is not None:
+                reduced[t, t] += b
+                b_flow_t[t, j] = -b
+                if f is not None:
+                    reduced[f, t] -= b
+                    reduced[t, f] -= b
     if not np.all(np.isfinite(reduced)):  # inv would return zeros, a PTDF of all zeros
         raise ConfigurationError("nodal susceptance sums overflow: the reduced susceptance matrix is not finite")
     try:

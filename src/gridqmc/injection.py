@@ -80,8 +80,6 @@ class EncodedInjection:
 def encode(dist: InjectionDistribution) -> EncodedInjection:
     """Normalize a forecast's probability vector into quantum amplitudes."""
     norm = math.sqrt(float(dist.probabilities @ dist.probabilities))
-    if norm == 0.0:
-        raise ConfigurationError(f"bus {dist.bus}: all-zero probability vector")
     return EncodedInjection(amplitudes=dist.probabilities / norm, norm_factor=norm)
 
 

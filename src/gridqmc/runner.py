@@ -70,7 +70,6 @@ def run_analysis(config: PipelineConfig) -> RunReport:
     """Execute the requested estimation methods and collect a report."""
     an = config.analysis
     h_row, distributions = _analysis_inputs(config)
-    threshold = an.threshold_fraction if an.metric == "overload" else None
 
     results: dict[str, EstimationResult] = {}
     exact_value = None
@@ -79,17 +78,17 @@ def run_analysis(config: PipelineConfig) -> RunReport:
         # it is released before the quantum path forms psi
         exact = exact_line_distribution(h_row, distributions)
         if "exact" in an.methods:
-            exact_value = exact.metric(an.metric, threshold)
+            exact_value = exact.metric(an.metric, an.threshold_fraction)
             results["exact"] = EstimationResult.point("exact", exact_value, an.epsilon, an.alpha, None)
         if "cmc" in an.methods:
             results["cmc"] = classical_mc(
                 h_row, distributions, an.metric, an.epsilon, an.alpha,
-                rng_seed=an.seed + 1, threshold=threshold, exact=exact,
+                rng_seed=an.seed + 1, threshold=an.threshold_fraction, exact=exact,
             )
         del exact
 
     if "iqae" in an.methods:
-        psi, _, estimator = prepared_state(h_row, distributions, an.metric, threshold)
+        psi, _, estimator = prepared_state(h_row, distributions, an.metric, an.threshold_fraction)
         if psi is None:
             # nothing to estimate; the metric is exactly zero
             results["iqae"] = EstimationResult.point("iqae", 0.0, an.epsilon, an.alpha, an.seed)
@@ -141,20 +140,19 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         distributions = config.ordered_injections()
     else:
         h_row, distributions = _analysis_inputs(config)
-        threshold = an.threshold_fraction if an.metric == "overload" else None
     check_qubit_count(sum(d.n_qubits for d in distributions))
     if stage == "V":
-        from .dense import apply, build_line_pipeline, zero_state  # the oracle, loaded for stage V alone
+        from .dense import build_line_pipeline  # the oracle, loaded for stage V alone
 
-        pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, threshold)
+        pipeline, _, _ = build_line_pipeline(h_row, distributions, an.metric, an.threshold_fraction)
         if pipeline is None:
             raise ConfigurationError("estimator is degenerate; stage V is undefined")
-        return apply(pipeline.a, zero_state(pipeline.a.n_qubits))
+        return StateVector(pipeline.a.n_qubits, pipeline.a.entries[:, 0])  # A|0>, the first column
     psi = joint_state([encode(d) for d in distributions])
     if stage == "psi":
         return psi
     # stage L: the flow map applied to the joint state, estimator reflection omitted
-    levels = line_levels(h_row, distributions, cut=overload_cut(an.metric, threshold))
+    levels = line_levels(h_row, distributions, cut=overload_cut(an.metric, an.threshold_fraction))
     return StateVector(psi.n_qubits, LevelCompletion.from_levels(levels).apply(psi.amplitudes))
 
 

@@ -86,13 +86,6 @@ def householder(u: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
     return w, 0.0 if wnorm2 < _IDENTITY_NORM2 else 2.0 / wnorm2
 
 
-def own_vector(x: np.ndarray, dim: int) -> np.ndarray:
-    """``x``, checked to be one vector of length ``dim``, as a new float64 array to overwrite in place."""
-    if np.shape(x) != (dim,):
-        raise ConfigurationError(f"state must be one vector of length {dim}, not shape {np.shape(x)}")
-    return np.array(x, dtype=float)
-
-
 def sample_counts(s: StateVector, shots: int, rng_seed: int) -> np.ndarray:
     """Draw a multinomial histogram over all basis states.
 

@@ -55,3 +55,46 @@ def nine_qubit_ring():
     raw = ring_study(5, seed=4)
     raw["injections"][-1].update(values_mw=[-1, 2], probabilities=[0.3, 0.7])
     return parse_config(raw)
+
+
+def random_study(rng: np.random.Generator) -> dict:
+    """Study file drawn from the whole schema, for differential tests against the exact oracle.
+
+    A connected network of 2-6 buses: a random spanning tree plus up to three extra lines,
+    parallel and reversed ones included, with susceptances 10^U(-1, 1) pu and ratings
+    U(0.3, 30) MW. Each non-slack bus has 1-16 bins on a 0.1, 0.5 or 1 MW grid, each bin of
+    zero probability with chance 0.2 (one bin is kept), and the study at most 12 qubits.
+    Either metric, ``threshold_pct`` U(10, 130), any line, methods iqae, exact and cmc.
+    """
+    n = int(rng.integers(2, 7))
+    buses = list(range(1, n + 1))
+    order = rng.permutation(buses).tolist()
+    pairs = [(order[i], order[int(rng.integers(0, i))]) for i in range(1, n)]  # the spanning tree
+    pairs += [tuple(rng.choice(buses, 2, replace=False).tolist()) for _ in range(int(rng.integers(0, 4)))]
+    lines = [
+        {"id": f"L{j}", "from_bus": f, "to_bus": t,
+         "susceptance_pu": float(10 ** rng.uniform(-1, 1)), "rating_mw": float(rng.uniform(0.3, 30))}
+        for j, (f, t) in enumerate((p, q) if rng.random() < 0.5 else (q, p) for p, q in pairs)
+    ]
+    slack = int(rng.choice(buses))
+    injections, qubits_left = [], 12
+    for bus in buses:
+        if bus == slack:
+            continue
+        n_bins = 2 ** int(rng.integers(0, min(4, qubits_left) + 1))
+        qubits_left -= n_bins.bit_length() - 1
+        step = float(rng.choice([0.1, 0.5, 1.0]))
+        values = np.sort(rng.choice(np.arange(-20, 21), n_bins, replace=False)) * step
+        weights = rng.dirichlet(np.ones(n_bins)) * (rng.random(n_bins) >= 0.2)
+        if not weights.any():
+            weights[rng.integers(0, n_bins)] = 1.0
+        injections.append({"bus": bus, "values_mw": values.tolist(),
+                           "probabilities": (weights / weights.sum()).tolist()})
+    return {
+        "network": {"buses": buses, "slack_bus": slack, "lines": lines},
+        "injections": injections,
+        "analysis": {"line": f"L{int(rng.integers(0, len(lines)))}",
+                     "metric": str(rng.choice(["mean", "overload"])),
+                     "threshold_pct": float(rng.uniform(10, 130)),
+                     "methods": ["iqae", "exact", "cmc"], "seed": int(rng.integers(0, 1000))},
+    }

@@ -25,7 +25,7 @@ from gridqmc import (
 from gridqmc import runner
 from gridqmc.cli import main
 from gridqmc.config import parse_config
-from gridqmc.errors import EnumerationBoundError
+from gridqmc.errors import EnumerationBoundError, EstimationFailureError
 from gridqmc.estimation import MAX_SHOTS_PER_ROUND
 from gridqmc.flowmap import line_levels, prepared_state
 from gridqmc.runner import STAGES, _analysis_inputs, stage_state
@@ -665,6 +665,27 @@ class TestCli:
         assert main(["run", "--config", str(builtin_config_path("three_bus")), "--methods", "iqae",
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("estimation failure: inverted interval [0.904508, 0.345492]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [4, 10, 15])
+    def test_run_stops_at_the_round_cap(self, seed, tmp_path):
+        # at 3 shots a round these three_bus mean runs are still wider than 2 epsilon after
+        # max_rounds = 10 x the nominal 6 rounds
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(
+            metric="mean", methods=["iqae"], shots_per_round=3, seed=seed))
+        with pytest.raises(EstimationFailureError, match="^no convergence within 60 rounds$") as info:
+            run_analysis(load_config(path))
+        a_l, a_u = info.value.partial_interval
+        assert 0 <= a_l < a_u <= 1
+        if seed == 4:
+            assert (a_l, a_u) == pytest.approx((0.09400, 0.13540), abs=1e-5)
+
+    def test_run_round_cap_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda raw: raw["analysis"].update(
+            metric="mean", methods=["iqae"], shots_per_round=3, seed=4))
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("estimation failure: no convergence within 60 rounds")
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
