@@ -32,7 +32,6 @@ from .errors import ConfigurationError
 from .estimation import _check_rotation
 from .flowmap import (
     EstimatorVector,
-    LevelCompletion,
     LineLevels,
     _metric_reflection,
     build_estimator_vector,
@@ -156,8 +155,8 @@ def state_prep_unitary(encoding: EncodedInjection) -> UnitaryMatrix:
 class LineFlowMap(LineLevels):
     """Line levels with their dense 0/1 map onto the loading levels.
 
-    ``m[k, c] == 1`` iff ``labels[c] == k``: every column holds exactly one
-    1.  ``m_sc`` is filled by :func:`orthonormalize_rows`.
+    ``m[k, c] == 1`` iff joint state ``c`` lies on level ``k``: every column
+    holds exactly one 1.  ``m_sc`` is filled by :func:`orthonormalize_rows`.
     """
 
     m: np.ndarray
@@ -178,7 +177,8 @@ def build_line_map(
     levels = _dense_levels(h_row, distributions)
     n_rows, n_cols = levels.n_rows, levels.n_columns
     m = np.zeros((n_rows, n_cols))
-    m[levels.labels, np.arange(n_cols)] = 1.0
+    m[np.arange(n_rows), levels.first] = 1.0  # a level of one state holds its first state alone
+    m[np.flatnonzero(levels.row_norms > 1)[levels.level], levels.members] = 1.0
     return LineFlowMap(**vars(levels), m=m)
 
 
@@ -191,7 +191,7 @@ def orthonormalize_rows(lf_map: LineFlowMap) -> LineFlowMap:
 
 @dataclass(frozen=True)
 class UnitaryFactorization:
-    """The factors of a :class:`~gridqmc.flowmap.LevelCompletion` as dense unitaries.
+    """The factors of the completion C = P R of :class:`~gridqmc.flowmap.LineLevels` as dense unitaries.
 
     ``v_h`` is the per-level reflection R and ``u_padded`` the permutation
     P; the top ``n_rows`` rows of ``u_padded @ v_h`` equal the
@@ -202,12 +202,12 @@ class UnitaryFactorization:
     u_padded: UnitaryMatrix
 
 
-def _reflection_matrix(c: LevelCompletion) -> np.ndarray:
+def _reflection_matrix(c: LineLevels) -> np.ndarray:
     """R of ``c`` as a dense matrix, exactly symmetric: ``I - gain_k w_k w_k^T`` per reflected level."""
     w = -c.inv_sqrt[c.level]
     w[np.searchsorted(c.members, c.heads)] += 1.0
     s = np.sqrt(c.gain)[c.level] * w
-    r = np.eye(len(c.first) + len(c.rest))
+    r = np.eye(c.n_columns)
     by_level = np.argsort(c.level, kind="stable")
     ends = np.cumsum(np.bincount(c.level, minlength=len(c.heads)))
     for block in np.split(by_level, ends[:-1]):  # one level's block at a time; the rest stays 0.0
@@ -222,12 +222,11 @@ def unitary_factorize(levels: LineLevels) -> UnitaryFactorization:
     Takes levels that :func:`build_line_map` or :func:`build_line_pipeline`
     has checked against the qubit budget, which bounds the two dense factors.
     """
-    completion = LevelCompletion.from_levels(levels)
     n = levels.n_columns
     p = np.zeros((n, n))
-    p[np.arange(n), np.concatenate([completion.first, completion.rest])] = 1.0  # completion.permute(np.eye(n))
+    p[np.arange(n), np.concatenate([levels.first, levels.rest])] = 1.0  # levels.permute(np.eye(n))
     return UnitaryFactorization(
-        v_h=UnitaryMatrix._built(_reflection_matrix(completion)), u_padded=UnitaryMatrix._built(p)
+        v_h=UnitaryMatrix._built(_reflection_matrix(levels)), u_padded=UnitaryMatrix._built(p)
     )
 
 

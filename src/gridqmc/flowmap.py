@@ -2,15 +2,16 @@
 
 For one line, the weighted Kronecker sum of the bus MW levels gives the
 loading value reached by every joint injection state.  Grouping equal
-values labels every joint state with its loading level; the labels define a
-0/1 matrix that maps the joint injection state onto a loading-distribution
-state.  A Householder reflection then folds the chosen risk metric into the
-amplitude of the all-ones basis state.
+values gives the loading levels, and the 0/1 matrix that sends every joint
+state to its level maps the joint injection state onto a
+loading-distribution state.  :class:`LineLevels` holds the levels and that
+map's unitary completion C = P R, one reflection per level of more than one
+state and a permutation.  A Householder reflection then folds the chosen
+risk metric into the amplitude of the all-ones basis state.
 
 :func:`prepared_state` forms only psi = A|0>, in O(2^n) time and memory:
-the per-bus state preps take |0> to the joint state of the encodings, one
-reflection per loading level plus a permutation complete the map
-(:class:`LevelCompletion`), and the rank-1 metric reflection follows.
+the per-bus state preps take |0> to the joint state of the encodings, C
+completes the map, and the rank-1 metric reflection follows.
 """
 from __future__ import annotations
 
@@ -65,23 +66,36 @@ def group_values(
 
 @dataclass(frozen=True)
 class LineLevels:
-    """Distinct loading levels of one line and the level of every joint state.
+    """Distinct loading levels of one line and the unitary completion C = P R of their map.
 
-    ``labels[c]`` is the level of joint state ``c``, ``distinct_values[k]``
-    the smallest absolute loading (fraction of rating) on level ``k`` and
-    ``first[k]`` the smallest joint state on it; ``row_norms[k]`` is the
-    square root of the number of joint states on level ``k``.
-    ``mass[k]`` is the probability of level ``k`` and ``mass_loading[k]``
-    the probability-weighted sum of its states' loadings; zero-probability
-    states add nothing to either, whatever their loading.
+    ``distinct_values[k]`` is the smallest absolute loading (fraction of
+    rating) on level ``k`` and ``first[k]`` the smallest joint state on it;
+    ``row_norms[k]`` is the square root of the number of joint states on
+    level ``k``.  ``mass[k]`` is the probability of level ``k`` and
+    ``mass_loading[k]`` the probability-weighted sum of its states'
+    loadings; zero-probability states add nothing to either, whatever their
+    loading.
+
+    R is one Householder reflection per loading level, taking the level's
+    first joint state to the uniform vector on the level.  P sends those
+    first states to indices 0..r-1 and keeps the others, in order, after
+    them.  Row k of C is therefore row k of the orthonormalized 0/1 map,
+    because the levels have disjoint supports.  A level of one state
+    reflects nothing, so R keeps only the levels of more than one state.
+    Every method takes one real vector of length ``n_columns``.
     """
 
     distinct_values: np.ndarray
-    labels: np.ndarray
     first: np.ndarray
     row_norms: np.ndarray
     mass: np.ndarray
     mass_loading: np.ndarray
+    rest: np.ndarray  # the joint states that head no level, in index order
+    members: np.ndarray  # states of the reflected levels, in index order
+    level: np.ndarray  # reflected level of every member
+    heads: np.ndarray  # first state of every reflected level
+    inv_sqrt: np.ndarray  # 1/sqrt(level size), per reflected level
+    gain: np.ndarray  # 2 / ||w_k||^2, per reflected level
 
     @property
     def n_rows(self) -> int:
@@ -89,7 +103,30 @@ class LineLevels:
 
     @property
     def n_columns(self) -> int:
-        return len(self.labels)
+        return len(self.first) + len(self.rest)
+
+    def reflect(self, y: np.ndarray) -> np.ndarray:
+        """R y, in place."""
+        if not len(self.members):
+            return y
+        # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
+        # bincount sums each level's members in index order
+        sums = np.bincount(self.level, weights=y[self.members], minlength=len(self.gain))
+        beta = self.gain * (y[self.heads] - sums * self.inv_sqrt)
+        y[self.members] += (beta * self.inv_sqrt)[self.level]
+        y[self.heads] -= beta
+        return y
+
+    def permute(self, y: np.ndarray) -> np.ndarray:
+        """P y into a new array; ``take`` in mode "clip" writes straight into it."""
+        out, r = np.empty(y.shape), len(self.first)
+        y.take(self.first, axis=0, out=out[:r], mode="clip")
+        y.take(self.rest, axis=0, out=out[r:], mode="clip")
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """C x = P R x into a new array; ``x`` is left unchanged."""
+        return self.permute(self.reflect(np.array(x, dtype=float)))
 
 
 def line_levels(
@@ -97,7 +134,7 @@ def line_levels(
     distributions: list[InjectionDistribution],
     cut: float | None = None,
 ) -> LineLevels:
-    """Enumerate the loading value of every joint state and group equal ones.
+    """Enumerate the loading value of every joint state, group equal ones and complete their map.
 
     ``h_row`` must be the rated distribution-factor row restricted to the
     non-slack buses, ordered consistently with ``distributions``.  Loading
@@ -119,13 +156,31 @@ def line_levels(
 
     distinct, labels, first = group_values(loading, cut)
     r = len(distinct)
+    row_norms = np.sqrt(np.bincount(labels, minlength=r).astype(float))
+    mass = np.bincount(labels, weights=prob, minlength=r)
+    mass_loading = np.bincount(labels, weights=prob * loading, minlength=r)
+    del loading, prob  # freed before the completion's arrays are formed
+
+    reflected = row_norms > 1
+    members = np.flatnonzero(reflected[labels])
+    level = (np.cumsum(reflected) - 1)[labels[members]]
+    rest = np.ones(len(labels), dtype=bool)
+    rest[first] = False
+    del labels
+    inv_sqrt = 1.0 / row_norms[reflected]
     return LineLevels(
         distinct_values=distinct,
-        labels=labels,
         first=first,
-        row_norms=np.sqrt(np.bincount(labels, minlength=r).astype(float)),
-        mass=np.bincount(labels, weights=prob, minlength=r),
-        mass_loading=np.bincount(labels, weights=prob * loading, minlength=r),
+        row_norms=row_norms,
+        mass=mass,
+        mass_loading=mass_loading,
+        rest=np.flatnonzero(rest),
+        members=members,
+        level=level,
+        heads=first[reflected],
+        inv_sqrt=inv_sqrt,
+        # ||e_first - uniform||^2 = 2 - 2/sqrt(size)
+        gain=2.0 / (2.0 - 2.0 * inv_sqrt),
     )
 
 
@@ -195,69 +250,6 @@ def _reflect(x: np.ndarray, w: np.ndarray, coef: float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class LevelCompletion:
-    """Unitary completion of the orthonormalized map as factors, C = P R.
-
-    R is one Householder reflection per loading level, taking the level's
-    first joint state to the uniform vector on the level.  P sends those
-    first states to indices 0..r-1 and keeps the others, in order, after
-    them.  Row k of C is therefore row k of the orthonormalized map, because
-    the levels have disjoint supports.  A level of one state reflects
-    nothing, so R keeps only the levels of more than one state.  Every
-    method takes one real vector of length ``dim``.
-    """
-
-    first: np.ndarray  # first joint state of every level, shared with LineLevels
-    rest: np.ndarray  # the other joint states, in index order
-    members: np.ndarray  # states of the reflected levels, in index order
-    level: np.ndarray  # reflected level of every member
-    heads: np.ndarray  # first state of every reflected level
-    inv_sqrt: np.ndarray  # 1/sqrt(level size), per reflected level
-    gain: np.ndarray  # 2 / ||w_k||^2, per reflected level
-
-    @classmethod
-    def from_levels(cls, levels: LineLevels) -> "LevelCompletion":
-        reflected = levels.row_norms > 1
-        members = np.flatnonzero(reflected[levels.labels])
-        inv_sqrt = 1.0 / levels.row_norms[reflected]
-        rest = np.ones(levels.n_columns, dtype=bool)
-        rest[levels.first] = False
-        return cls(
-            first=levels.first,
-            rest=np.flatnonzero(rest),
-            members=members,
-            level=(np.cumsum(reflected) - 1)[levels.labels[members]],
-            heads=levels.first[reflected],
-            inv_sqrt=inv_sqrt,
-            # ||e_first - uniform||^2 = 2 - 2/sqrt(size)
-            gain=2.0 / (2.0 - 2.0 * inv_sqrt),
-        )
-
-    def reflect(self, y: np.ndarray) -> np.ndarray:
-        """R y, in place."""
-        if not len(self.members):
-            return y
-        # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
-        # bincount sums each level's members in index order
-        sums = np.bincount(self.level, weights=y[self.members], minlength=len(self.gain))
-        beta = self.gain * (y[self.heads] - sums * self.inv_sqrt)
-        y[self.members] += (beta * self.inv_sqrt)[self.level]
-        y[self.heads] -= beta
-        return y
-
-    def permute(self, y: np.ndarray) -> np.ndarray:
-        """P y into a new array; ``take`` in mode "clip" writes straight into it."""
-        out, r = np.empty(y.shape), len(self.first)
-        y.take(self.first, axis=0, out=out[:r], mode="clip")
-        y.take(self.rest, axis=0, out=out[r:], mode="clip")
-        return out
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """C x = P R x into a new array; ``x`` is left unchanged."""
-        return self.permute(self.reflect(np.array(x, dtype=float)))
-
-
 def prepared_state(
     h_row: np.ndarray,
     distributions: list[InjectionDistribution],
@@ -280,7 +272,7 @@ def prepared_state(
     estimator = build_estimator_vector(levels, metric, n_qubits, encodings, threshold)
     if estimator.is_degenerate:
         return None, levels, estimator
-    psi = LevelCompletion.from_levels(levels).apply(joint_state(encodings).amplitudes)
+    psi = levels.apply(joint_state(encodings).amplitudes)
     _reflect(psi, *_metric_reflection(estimator.v))
     psi.setflags(write=False)
     return psi, levels, estimator

@@ -12,7 +12,7 @@ from .classical import classical_mc, exact_line_distribution
 from .config import PipelineConfig
 from .errors import ConfigurationError
 from .estimation import EstimationResult, build_grover_iterate, iqae, rescale
-from .flowmap import LevelCompletion, line_levels, overload_cut, prepared_state
+from .flowmap import line_levels, overload_cut, prepared_state
 from .grid import _nodal_solve, build_ptdf, rate_scale_ptdf
 from .injection import encode, joint_state
 from .simulator import StateVector, check_qubit_count, check_shots, sample_counts
@@ -123,14 +123,14 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
     """Statevector after the requested pipeline stage for the configured line.
 
     Stages psi and L run up to ``MAX_QUBITS``: stage L applies the
-    structured :class:`~gridqmc.flowmap.LevelCompletion` to the joint state
-    and forms no matrix.  Stage V is ``A|0>`` from the oracle in
-    :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its amplitudes
-    equal psi of :func:`~gridqmc.flowmap.prepared_state` to rounding.  L and
-    V group the loadings alike, split at the overload cut, so stage V is the
-    metric reflection of stage L.  A study over ``MAX_QUBITS`` is refused by
-    :func:`~gridqmc.simulator.check_qubit_count` before any joint state is
-    enumerated.
+    completion C = P R of the study's :class:`~gridqmc.flowmap.LineLevels`
+    to the joint state and forms no matrix.  Stage V is ``A|0>`` from the
+    oracle in :mod:`gridqmc.dense`, up to ``dense.MAX_DENSE_QUBITS``; its
+    amplitudes equal psi of :func:`~gridqmc.flowmap.prepared_state` to
+    rounding.  L and V group the loadings alike, split at the overload cut,
+    so stage V is the metric reflection of stage L.  A study over
+    ``MAX_QUBITS`` is refused by :func:`~gridqmc.simulator.check_qubit_count`
+    before any joint state is enumerated.
     """
     if stage not in STAGES:
         raise ConfigurationError(f"unknown stage {stage!r}, expected one of {STAGES}")
@@ -153,7 +153,7 @@ def stage_state(config: PipelineConfig, stage: str) -> StateVector:
         return psi
     # stage L: the flow map applied to the joint state, estimator reflection omitted
     levels = line_levels(h_row, distributions, cut=overload_cut(an.metric, an.threshold_fraction))
-    return StateVector(psi.n_qubits, LevelCompletion.from_levels(levels).apply(psi.amplitudes))
+    return StateVector(psi.n_qubits, levels.apply(psi.amplitudes))
 
 
 def export_histogram(

@@ -23,7 +23,7 @@ from gridqmc import (
 )
 from gridqmc.config import parse_config
 from gridqmc.dense import UnitaryFactorization, reflection_unitary
-from gridqmc.flowmap import LevelCompletion, _metric_reflection, line_levels
+from gridqmc.flowmap import _metric_reflection, line_levels
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import _UNITARY_TOL, householder
 from tests.studies import nine_qubit_ring, random_distribution, ring_study
@@ -75,8 +75,7 @@ def parts(request):
 
 def test_permutation_is_the_completion_applied_to_the_identity(parts):
     _, _, lf_map, _, fact = parts
-    completion = LevelCompletion.from_levels(lf_map)
-    assert np.array_equal(fact.u_padded.entries, completion.permute(np.eye(lf_map.n_columns)))
+    assert np.array_equal(fact.u_padded.entries, lf_map.permute(np.eye(lf_map.n_columns)))
 
 
 def test_reflections_equal_identity_minus_outer_product(parts):

@@ -117,6 +117,12 @@ def test_rate_scale_rejects_rated(three_bus_ring):
         rate_scale_ptdf(rated, three_bus_ring)
 
 
+def test_rate_scale_refuses_a_network_without_the_line(three_bus_ring):
+    other = Network((1, 2, 3), slack_bus=3, lines=(Line(1, 2, 1.0, 1.0), Line(2, 3, 1.0, 1.0)))  # no 1-3
+    with pytest.raises(ConfigurationError, match="^unknown line '1-3'$"):
+        rate_scale_ptdf(build_ptdf(three_bus_ring), other)
+
+
 def test_row_accessor_excludes_slack(three_bus_ring):
     rated = rate_scale_ptdf(build_ptdf(three_bus_ring), three_bus_ring)
     row = rated.row("1-2")
@@ -212,6 +218,15 @@ def bridged_by_a_subnormal_line():
 def test_connected_network_with_an_overflowing_inverse_is_refused():
     with pytest.raises(DisconnectedNetworkError, match="singular"):
         build_ptdf(bridged_by_a_subnormal_line().network)
+
+
+def test_connected_network_with_a_singular_solve_is_refused():
+    # chain 0-1-2, slack 0: 1 + 1e16 rounds to 1e16, and the reduced matrix
+    # [[1e16, -1e16], [-1e16, 1e16]] is exactly singular, so inv raises
+    stiff = Network((0, 1, 2), slack_bus=0, lines=(Line(0, 1, 1.0, 1.0), Line(1, 2, 1e16, 1.0)))
+    with pytest.raises(DisconnectedNetworkError, match="^reduced susceptance matrix is singular$") as info:
+        build_ptdf(stiff)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("stage", STAGES)

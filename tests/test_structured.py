@@ -29,11 +29,11 @@ from gridqmc import (
 )
 from gridqmc import Line, Network, estimation, flowmap, runner
 from gridqmc.estimation import GroverIterate, build_grover_iterate
-from gridqmc.flowmap import LevelCompletion, line_levels, prepared_state
+from gridqmc.flowmap import LineLevels, group_values, line_levels, prepared_state
 from gridqmc.config import AnalysisSettings, PipelineConfig, parse_config
 from gridqmc.runner import _analysis_inputs, run_analysis, stage_state
 from tests.references import stable_sort_reference
-from tests.studies import nine_qubit_ring, synthetic_grid
+from tests.studies import nine_qubit_ring, ring_study, synthetic_grid
 
 
 def materialize(op, dim):
@@ -48,7 +48,7 @@ def check_against_dense(h_row, dists, metric, threshold=None):
     assert (dense is None) == (psi is None)
     if psi is None:
         return
-    completion = materialize(LevelCompletion.from_levels(levels).apply, levels.n_columns)
+    completion = materialize(levels.apply, levels.n_columns)
     assert np.max(np.abs(completion[: levels.n_rows] - lf_map.m_sc)) < 1e-12
 
     # the whole of psi, not only the good amplitude; the dense A passed its gram check
@@ -166,13 +166,19 @@ def test_oversized_study_refused():
         prepared_state(h_row, dists, "mean")
 
 
-def full_length_completion(levels, x):
-    """Reference C = P R: every level, single states included, summed by one bincount over all states."""
-    labels = levels.labels
-    first = np.unique(labels, return_index=True)[1]
-    inv_sqrt = 1.0 / levels.row_norms
+def full_length_completion(h_row, dists, x):
+    """Reference C = P R: every level, single states included, summed by one bincount over all states.
+
+    The levels come from :func:`group_values` over the loadings enumerated here, not from the
+    object under test."""
+    loading = np.zeros(1)
+    for h, d in zip(h_row, dists):
+        loading = np.add.outer(loading, h * d.values_mw).ravel()
+    _, labels, first = group_values(np.abs(loading))
+    row_norms = np.sqrt(np.bincount(labels))
+    inv_sqrt = 1.0 / row_norms
     wnorm2 = 2.0 - 2.0 * inv_sqrt
-    gain = np.divide(2.0, wnorm2, out=np.zeros_like(wnorm2), where=levels.row_norms > 1)
+    gain = np.divide(2.0, wnorm2, out=np.zeros_like(wnorm2), where=row_norms > 1)
     rest = np.ones(len(labels), dtype=bool)
     rest[first] = False
     order = np.concatenate((first, np.flatnonzero(rest)))
@@ -188,14 +194,13 @@ def full_length_completion(levels, x):
 def test_completion_and_blocks_match_the_full_length_path(grid, metric, seed):
     h_row, dists = grid
     levels = line_levels(h_row, dists)
-    completion = LevelCompletion.from_levels(levels)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(levels.n_columns)
     psi = joint_state([encode(d) for d in dists]).amplitudes  # zeros where a bin has no mass
     for v in (x, psi):
-        assert np.array_equal(completion.apply(v), full_length_completion(levels, v))
+        assert np.array_equal(levels.apply(v), full_length_completion(h_row, dists, v))
 
-    maps = [completion.apply]
+    maps = [levels.apply]
     threshold = float(np.median(levels.distinct_values)) if metric == "overload" else None
     prepared, _, _ = prepared_state(h_row, dists, metric, threshold)
     if prepared is not None:
@@ -216,8 +221,8 @@ def test_grover_set_up_applies_the_operator_once_and_no_step_applies_it(monkeypa
     monkeypatch.setattr(flowmap, "_reflect",
                         lambda x, w, c: shapes["H"].append(x.shape) or reflect_(x, w, c))
     for name in ("reflect", "permute"):
-        method = getattr(LevelCompletion, name)
-        monkeypatch.setattr(LevelCompletion, name,
+        method = getattr(LineLevels, name)
+        monkeypatch.setattr(LineLevels, name,
                             lambda self, x, _m=method, _c=shapes[name]: _c.append(x.shape) or _m(self, x))
     psi, _, _ = prepared_state(h_row, dists, "mean")
     g = build_grover_iterate(psi)
@@ -328,8 +333,8 @@ def test_twenty_qubit_grover_step_holds_two_state_vectors():
     assert abs(y[g.good_state_index] ** 2 - g.good_probability(1)) <= 1e-12
 
 
-#: tracemalloc peak of this test's body, in MiB: 86.9 measured, plus 16 (two 2^20-state
-#: vectors) of margin
+#: tracemalloc peak of this test's body, in MiB: 86.9 measured when the bound was set, plus 16
+#: (two 2^20-state vectors) of margin; 72.7 since the levels keep no per-state labels
 FULL_LENGTH_PEAK_MIB = 102.9
 
 
@@ -345,6 +350,26 @@ def test_twenty_qubit_study_within_the_full_length_peak():
     assert len(psi) == 2**20
     assert res.ci_high - res.ci_low <= 0.02
     assert peak / 2**20 <= FULL_LENGTH_PEAK_MIB
+
+
+def traced_peak(call):
+    """tracemalloc peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sixteen_qubit_psi_and_stage_l_peaks():
+    # in arrays of 8 * 2^16 bytes; 9.17 and 7.13 measured, 10.16 and 8.02 while the levels kept a
+    # per-state label array and both loading arrays until psi was formed
+    state_bytes = 8 * 2**16
+    h_row, dists = synthetic_grid(8)
+    assert traced_peak(lambda: prepared_state(h_row, dists, "mean")) / state_bytes < 9.5
+    cfg = parse_config(ring_study(8))
+    assert traced_peak(lambda: stage_state(cfg, "L")) / state_bytes < 7.5
 
 
 def chain_study(rng):
