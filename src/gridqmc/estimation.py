@@ -169,8 +169,10 @@ def _upper_tail_logit(k: int, n: int, q: float) -> float:
     regularized incomplete beta function, I_x(k, n - k + 1) = q.  Halley
     steps on g(s) = log(P[X >= k] / q) in the logit s = log(x / (1 - x)),
     where g is concave and nearly linear at both ends, start from the normal
-    approximation of Abramowitz & Stegun 26.5.22.  The tail is summed from
-    whichever side is the smaller, so it keeps its relative precision.
+    approximation of Abramowitz & Stegun 26.5.22.  The tail is summed upward
+    from k alone: the root lies below k/n, as P[X >= k] >= 1/2 > q at x = k/n
+    (the median of Binomial(n, k/n) is k), and a sum of positive terms keeps
+    its relative precision wherever an iterate lands.
     """
     a, b = k, n - k + 1
     z = -NormalDist().inv_cdf(q)
@@ -191,10 +193,7 @@ def _upper_tail_logit(k: int, n: int, q: float) -> float:
         else:
             x, odds, log_x, log_y = e / (1.0 + e), e, s - log1p_e, -log1p_e
         pmf = math.exp(log_comb + k * log_x + (n - k) * log_y)
-        if k >= n * x:
-            tail = pmf * _ratio_sum(k, n, odds)
-        else:  # one minus the lower tail P[X <= k - 1], summed downwards from k
-            tail = 1.0 - pmf * (_ratio_sum(n - k, n, 1.0 / odds) - 1.0)
+        tail = pmf * _ratio_sum(k, n, odds)
         g = math.log(tail) - log_q
         # g' = (d tail/ds) / tail with d tail/ds = k pmf (1 - x), and g''/g' = k - (n + 1) x - g'
         slope = k * pmf * (1.0 - x) / tail
@@ -303,7 +302,6 @@ def iqae(
     k = 0
     # a certain event can come out a few ulps above 1
     p_good = min(g.good_probability(0), 1.0)
-    shots_total = 0
     oracle_applications = 0
     round_shots = 0
     round_ones = 0
@@ -323,7 +321,6 @@ def iqae(
             round_ones = 0
 
         ones = int(rng.binomial(shots_per_round, p_good))
-        shots_total += shots_per_round
         oracle_applications += shots_per_round * (2 * k + 1)
         # pool shots taken at the same power before the binomial interval
         round_shots += shots_per_round
@@ -345,7 +342,7 @@ def iqae(
         metric_value=estimate,
         ci_low=a_l,
         ci_high=a_u,
-        shots_total=shots_total,
+        shots_total=rounds * shots_per_round,
         oracle_applications=oracle_applications,
         epsilon=epsilon,
         alpha=alpha,

@@ -127,6 +127,36 @@ class TestClopperPearson:
                         lower = math.fsum(pmf(j, shots, hi) for j in range(ones + 1))
                         assert abs(lower - alpha / 2) <= 1e-12, (ones, shots, alpha)
 
+    def test_tail_is_only_summed_upward_from_k(self, monkeypatch):
+        # the solve sums P[X >= k] upward from k alone, exact while every iterate keeps k >= n x,
+        # i.e. (n - k) odds <= k; a start or step that breaks this must fail here
+        summed = estimation._ratio_sum
+        calls = 0
+
+        def checked(k, n, odds):
+            nonlocal calls
+            calls += 1
+            assert (n - k) * odds <= k, (k, n, odds)
+            return summed(k, n, odds)
+
+        monkeypatch.setattr(estimation, "_ratio_sum", checked)
+        for shots in range(1, 121):
+            for ones in range(shots + 1):
+                for alpha in (0.999, 0.05, 0.05 / 6, 1e-6):
+                    _clopper_pearson.__wrapped__(ones, shots, alpha)
+        assert calls > 10_000
+
+    def test_equals_beta_quantiles_at_the_pooled_maximum(self):
+        # IQAE pools at most 60 rounds of MAX_SHOTS_PER_ROUND shots at one power at epsilon = 0.01
+        from scipy import stats
+
+        shots, alpha = 60 * MAX_SHOTS_PER_ROUND, 0.05 / 6
+        for ones in (1, 30, shots // 2, shots - 1):
+            lo = stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
+            hi = stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
+            got = _clopper_pearson.__wrapped__(ones, shots, alpha)
+            assert got == pytest.approx((lo, hi), rel=1e-10, abs=0.0), ones
+
 
 class TestClopperPearsonCache:
     def test_cached_endpoints_equal_the_uncached_solve(self):
