@@ -4,11 +4,11 @@ Every factor of the pipeline operator A, whose image of |0> is
 :func:`~gridqmc.flowmap.prepared_state`, is materialized here as a checked
 matrix: the per-bus state preps, the 0/1 flow map and its completion
 C = P R, the metric reflection, their product A and the Grover operator
-Q = A S0 A^T Sg.  The unitarity check is exact by
-structure for a 0/1 permutation matrix (P, and R when no level is
-reflected): an O(d^2) test finds it, and P^T P = I needs no gram.  The
-metric reflection, a reflected R, A and Q keep their O(d^3) gram at the
-same tolerance.  A product by a permutation or by a diagonal sign matrix
+Q = A S0 A^T Sg.  A 0/1 permutation matrix is declared by its builder from
+the index order it holds (P, and R when no level is reflected), not found
+by a test of the entries, and P^T P = I needs no gram.  Every other matrix,
+the metric reflection, the preps, a reflected R, A and Q, takes its O(d^3)
+gram.  A product by a permutation or by a diagonal sign matrix
 S0, Sg is an index operation (a column gather, none for the identity, or a
 negation) that gives the product's entries exactly, so stage V makes three
 d x d BLAS calls when R = I: the metric reflection's gram, A = H P R prep
@@ -60,9 +60,9 @@ def _dense_levels(
 class UnitaryMatrix:
     """Dense real orthogonal operator on n qubits, checked at construction.
 
-    A 0/1 permutation matrix is recognized in O(d^2) and accepted without its
-    gram, as P^T P = I exactly; ``order`` then holds the column of each row's
-    1.  Any other matrix is checked by its O(d^3) gram.
+    A matrix is checked by its O(d^3) gram.  :meth:`permutation` builds a
+    0/1 permutation matrix without one, as P^T P = I exactly; ``order`` then
+    holds the column of each row's 1, and is None otherwise.
     """
 
     entries: np.ndarray
@@ -72,22 +72,31 @@ class UnitaryMatrix:
         self._check(_frozen_real(self.entries))
 
     @classmethod
-    def _built(cls, mat: np.ndarray) -> "UnitaryMatrix":
-        """Check a float64 array that a builder here has just made: frozen in place, not copied."""
+    def _built(cls, mat: np.ndarray, order: np.ndarray | None = None) -> "UnitaryMatrix":
+        """Check an array that a builder here has just made, frozen in place; ``order`` from :meth:`permutation`."""
         u = object.__new__(cls)
         mat.setflags(write=False)
-        u._check(mat)
+        u._check(mat, order)
         return u
 
-    def _check(self, mat: np.ndarray) -> None:
+    @classmethod
+    def permutation(cls, order: np.ndarray) -> "UnitaryMatrix":
+        """``np.eye(n)[order]``: a 1 at column ``order[i]`` of row i, declared so, with no gram taken."""
+        n = len(order)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ConfigurationError(f"order is not a permutation of 0..{n - 1}")
+        p = np.zeros((n, n))
+        p[np.arange(n), order] = 1.0
+        return cls._built(p, np.asarray(order))
+
+    def _check(self, mat: np.ndarray, order: np.ndarray | None = None) -> None:
         object.__setattr__(self, "entries", mat)
         n = len(mat) if mat.ndim == 2 else 0
         if mat.shape != (n, n) or n < 1 or n & (n - 1) != 0:
             raise ConfigurationError("unitary must be square with power-of-two dimension")
-        order = _permutation_order(mat)
         object.__setattr__(self, "order", order)
         if order is not None:
-            return  # the gram's residual would be exactly 0.0
+            return  # a permutation: the gram's residual would be exactly 0.0
         gram = mat.T @ mat
         gram.flat[:: n + 1] -= 1.0  # max|mat^T mat - I| in place: x - 0.0 is x
         residual = np.abs(gram, out=gram).max()
@@ -101,23 +110,6 @@ class UnitaryMatrix:
     @property
     def n_qubits(self) -> int:
         return int(self.entries.shape[0]).bit_length() - 1
-
-
-def _permutation_order(mat: np.ndarray) -> np.ndarray | None:
-    """The column of each row's 1 if ``mat`` is a 0/1 permutation matrix, else None, in O(d^2).
-
-    Exactly n non-zeros (so a dense matrix costs one pass), each exactly 1.0,
-    one per row and one per column.  -0.0 counts as zero; a NaN or a -1 is no 1.
-    """
-    n = len(mat)
-    if np.count_nonzero(mat) != n:
-        return None
-    order = mat.argmax(axis=1)
-    if not np.all(mat[np.arange(n), order] == 1.0):  # n non-zeros and a 1 in every row: one per row
-        return None
-    hit = np.zeros(n, dtype=bool)
-    hit[order] = True
-    return order if hit.all() else None
 
 
 def reflection_unitary(w: np.ndarray, gain: float) -> UnitaryMatrix:
@@ -222,12 +214,12 @@ def unitary_factorize(levels: LineLevels) -> UnitaryFactorization:
     Takes levels that :func:`build_line_map` or :func:`build_line_pipeline`
     has checked against the qubit budget, which bounds the two dense factors.
     """
-    n = levels.n_columns
-    p = np.zeros((n, n))
-    p[np.arange(n), np.concatenate([levels.first, levels.rest])] = 1.0  # levels.permute(np.eye(n))
-    return UnitaryFactorization(
-        v_h=UnitaryMatrix._built(_reflection_matrix(levels)), u_padded=UnitaryMatrix._built(p)
-    )
+    if len(levels.members):
+        r = UnitaryMatrix._built(_reflection_matrix(levels))
+    else:  # no level is reflected: R = I
+        r = UnitaryMatrix.permutation(np.arange(levels.n_columns))
+    p = UnitaryMatrix.permutation(np.concatenate([levels.first, levels.rest]))  # levels.permute(np.eye(n))
+    return UnitaryFactorization(v_h=r, u_padded=p)
 
 
 def householder_unitary(v: np.ndarray) -> UnitaryMatrix:
@@ -266,18 +258,6 @@ def _times(x: np.ndarray, u: UnitaryMatrix) -> np.ndarray:
     return x.take(np.argsort(u.order), axis=1)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` bit for bit: one strided product per entry of the smaller factor."""
-    out = np.empty((len(a), len(b), len(a), len(b)))
-    if len(b) <= len(a):
-        for (i, j), x in np.ndenumerate(b):
-            np.multiply(a, x, out=out[:, i, :, j])
-    else:
-        for (i, j), x in np.ndenumerate(a):
-            np.multiply(x, b, out=out[i, :, j, :])
-    return out.reshape(len(a) * len(b), -1)
-
-
 def assemble_pipeline(
     preps: list[UnitaryMatrix],
     factorization: UnitaryFactorization,
@@ -303,7 +283,7 @@ def assemble_pipeline(
     del r
     prep = preps[0].entries
     for p in preps[1:]:
-        prep = _kron(prep, p.entries)
+        prep = np.kron(prep, p.entries)
     a = x @ prep
     del x, prep
     return PipelineUnitary(a=UnitaryMatrix._built(a), scaling=scaling)

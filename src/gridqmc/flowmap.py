@@ -106,9 +106,7 @@ class LineLevels:
         return len(self.first) + len(self.rest)
 
     def reflect(self, y: np.ndarray) -> np.ndarray:
-        """R y, in place."""
-        if not len(self.members):
-            return y
+        """R y, in place; with no reflected level every array below is empty and ``y`` is unchanged."""
         # per level: w = e_first - uniform, R x = x - gain * (w . x) w; one
         # bincount sums each level's members in index order
         sums = np.bincount(self.level, weights=y[self.members], minlength=len(self.gain))

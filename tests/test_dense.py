@@ -1,6 +1,10 @@
 """Each index operation of the dense builders against the matrix product it replaces, bit for bit."""
+import importlib
+import json
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +25,15 @@ from gridqmc import (
     state_prep_unitary,
     unitary_factorize,
 )
+from gridqmc import dense
 from gridqmc.config import parse_config
 from gridqmc.dense import UnitaryFactorization, reflection_unitary
 from gridqmc.flowmap import _metric_reflection, line_levels
 from gridqmc.runner import _analysis_inputs, stage_state
 from gridqmc.simulator import _UNITARY_TOL, householder
 from tests.studies import nine_qubit_ring, random_distribution, ring_study
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _study(config):
@@ -214,7 +221,7 @@ def _negative_zeros(m):
     return np.where(m == 0.0, -0.0, m)
 
 
-#: (matrix, whether it is a 0/1 permutation); the others are left to the gram
+#: (matrix, whether it is a 0/1 permutation); built from its entries, each takes its gram either way
 PERMUTATION_CASES = {
     "identity-1x1": (np.eye(1), True),
     "identity-8": (np.eye(8), True),
@@ -236,14 +243,70 @@ def test_permutation_check_gives_the_grams_verdict(case):
     m, is_permutation = PERMUTATION_CASES[case]
     n = len(m)
     residual = np.max(np.abs(m.T @ m - np.eye(n)))
+    assert not is_permutation or residual == 0.0
     if residual <= _UNITARY_TOL * n:
-        u = UnitaryMatrix(m)
-        assert (u.order is not None) == is_permutation
-        assert not is_permutation or np.array_equal(np.eye(n)[u.order], m)
+        assert UnitaryMatrix(m).order is None  # a permutation too: only UnitaryMatrix.permutation declares one
     else:  # a NaN residual too
-        assert not is_permutation
         with pytest.raises(ConfigurationError, match=re.escape(f"(residual {residual:.2e})") + "$"):
             UnitaryMatrix(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_declared_permutation_is_the_identity_gathered_by_its_order(n):
+    order = np.random.default_rng(n).permutation(n)
+    u = UnitaryMatrix.permutation(order)
+    assert u.entries.tobytes() == np.eye(n)[order].tobytes()
+    assert np.array_equal(u.order, order)
+
+
+@pytest.mark.parametrize("order", [[3, 1, 1, 0], [3, 1, 2, 4], [1, 2, 3, 4], [3, 1, -2, 0]],
+                         ids=["repeated", "out-of-range", "missing-zero", "negative"])
+def test_what_is_no_permutation_of_its_indices_is_refused(order):
+    with pytest.raises(ConfigurationError, match=r"not a permutation of 0\.\.3$"):
+        UnitaryMatrix.permutation(order)
+
+
+@pytest.mark.parametrize("order", [[], [2, 0, 1]], ids=["empty", "three"])
+def test_a_permutation_of_no_power_of_two_length_is_refused_by_its_shape(order):
+    with pytest.raises(ConfigurationError, match="square with power-of-two dimension"):
+        UnitaryMatrix.permutation(order)
+
+
+def _v_study(case):
+    """The benchmark's first histogram-stages V study (every level distinct, R = I) or a tied ring (R != I)."""
+    if case == "tied_ring":
+        return parse_config(ring_study(3))
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return parse_config(json.loads(next(s for s in gen.generate("histogram-stages", 1) if s.stage == "V").text))
+
+
+@pytest.mark.parametrize("case", ["histogram_stages_v0", "tied_ring"])
+def test_line_pipeline_declares_its_permutations_and_takes_every_other_gram(case, monkeypatch):
+    cfg = _v_study(case)
+    factors = {}
+    assemble = dense.assemble_pipeline
+
+    def spy(preps, factorization, h, scaling):
+        factors.update(preps=preps, p=factorization.u_padded, r=factorization.v_h, h=h)
+        return assemble(preps, factorization, h, scaling)
+
+    monkeypatch.setattr(dense, "assemble_pipeline", spy)
+    h_row, dists = _analysis_inputs(cfg)
+    an = cfg.analysis
+    pipeline, levels, _ = dense.build_line_pipeline(h_row, dists, an.metric, an.threshold_fraction)
+    reflected = len(levels.members) > 0
+    assert reflected == (case == "tied_ring")
+    assert np.array_equal(factors["p"].order, np.concatenate([levels.first, levels.rest]))
+    if reflected:
+        assert factors["r"].order is None
+    else:
+        assert np.array_equal(factors["r"].order, np.arange(levels.n_columns))
+    assert factors["h"].order is None and pipeline.a.order is None
+    assert all(prep.order is None for prep in factors["preps"])
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["identity", "permutation"])
@@ -252,6 +315,6 @@ def test_assembly_gathers_by_permutation_factors(order):
     h = reflection_unitary(*householder(rng.dirichlet(np.ones(4)) ** 0.5, 0))
     prep = reflection_unitary(*householder(rng.dirichlet(np.ones(4)) ** 0.5, 0))
     p = np.eye(4)[order]
-    fact = UnitaryFactorization(v_h=UnitaryMatrix(np.eye(4)), u_padded=UnitaryMatrix(p))
+    fact = UnitaryFactorization(v_h=UnitaryMatrix(np.eye(4)), u_padded=UnitaryMatrix.permutation(order))
     expected = h.entries @ p @ np.eye(4) @ prep.entries
     assert np.array_equal(assemble_pipeline([prep], fact, h, 1.0).a.entries, expected)
